@@ -4,7 +4,7 @@ autograd training throughput and the counterfactual construction."""
 import numpy as np
 import pytest
 
-from repro.causal import build_counterfactual_links, suggest_gammas
+from repro.causal import build_counterfactual_links, build_treatment, suggest_gammas
 from repro.data import generate_chronic_cohort, generate_ddi, generate_mimic
 from repro.graph import closest_truss_community, steiner_tree, truss_decomposition
 from repro.nn import Adam, MLP, Tensor, mse_loss
@@ -80,6 +80,7 @@ class TestAutogradThroughput:
 
 
 class TestCounterfactualConstruction:
+    # Raw medication rows as the treatment: nearly every row is distinct.
     def test_bench_cf_links_cohort_scale(self, benchmark):
         cohort = generate_chronic_cohort(num_patients=400, seed=2)
         x = cohort.features[:400]
@@ -94,3 +95,21 @@ class TestCounterfactualConstruction:
             iterations=1,
         )
         assert 0.0 <= links.match_rate <= 1.0
+
+    # The treatment MDModule.fit passes: cluster-propagated, so patients
+    # share a handful of distinct rows.
+    def test_bench_cf_links_cluster_treatment(self, benchmark):
+        cohort = generate_chronic_cohort(num_patients=400, seed=2)
+        x = cohort.features[:400]
+        y = cohort.medications[:400]
+        z = np.eye(86)
+        treatment = build_treatment(x, y, cohort.ddi.graph, num_clusters=10).matrix
+        gamma_p, gamma_d = suggest_gammas(x, z, quantile=0.25)
+
+        links = benchmark.pedantic(
+            lambda: build_counterfactual_links(x, z, treatment, y, gamma_p, gamma_d),
+            rounds=1,
+            iterations=1,
+        )
+        assert len(np.unique(treatment, axis=0)) <= 10
+        assert 0.0 < links.match_rate < 1.0

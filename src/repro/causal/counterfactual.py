@@ -19,9 +19,24 @@ A naive scan is O((m n)^2).  We instead factor the minimization:
     min_{j,u} D_p[i,j] + D_d[v,u]
   = min_j ( D_p[i,j] + f_v^t(j) ),   f_v^t(j) = min_{u : T_ju = t} D_d[v,u]
 
-computing ``f_v^t`` once per (drug, treatment-value) and then a masked
-argmin over patients — O(n m^2) with dense numpy ops, comfortably fast at
-cohort scale.
+``f_v^t(j)`` depends on patient j only through j's treatment row, and
+``build_treatment`` gives every member of a patient cluster the same row
+(the paper-size cohort has 14 distinct rows for 2078 patients).  So the
+patients are grouped by distinct treatment row, R groups in all, and once
+per call we take, for every patient i and group r, the nearest in-threshold
+distance ``near[i, r]`` and the first patient ``arg[i, r]`` attaining it.
+Each drug then needs an argmin over an (m, R) table, restricted to the
+groups with a finite f, instead of an (m, m) one: O(m^2 + n m R) in total,
+and no worse than the direct O(n m^2) scan when every row is distinct.
+
+The result equals the direct scan's, first-index tie rule included.
+Floating-point addition is monotone, so the minimum of D_p[i,j] + f over a
+group is ``near[i, r] + f``, and where every tied group has f == 0 the
+winner is the smallest ``arg[i, r]`` among them, because d + 0 == d
+exactly.  A tied group with a finite f != 0 and more than one member can
+hide a rounding tie (distinct d with equal d + f) behind ``arg``, so those
+rows are recomputed with the direct scan over all patients.  With one-hot
+drug features f is always 0 or inf and that fallback never runs.
 """
 
 from __future__ import annotations
@@ -62,12 +77,14 @@ def pairwise_distances(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndar
     """Dense Euclidean distance matrix between row sets."""
     a = np.asarray(a, dtype=np.float64)
     b = a if b is None else np.asarray(b, dtype=np.float64)
-    sq = (
-        (a * a).sum(axis=1)[:, None]
-        - 2.0 * (a @ b.T)
-        + (b * b).sum(axis=1)[None, :]
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
+    # In place, as (-2 a.b + |a|^2) + |b|^2: the same roundings as
+    # (|a|^2 - 2 a.b) + |b|^2, without four (len(a), len(b)) temporaries.
+    sq = a @ b.T
+    sq *= -2.0
+    sq += (a * a).sum(axis=1)[:, None]
+    sq += (b * b).sum(axis=1)[None, :]
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def build_counterfactual_links(
@@ -100,12 +117,32 @@ def build_counterfactual_links(
     if gamma_p <= 0 or gamma_d <= 0:
         raise ValueError("gamma_p and gamma_d must be positive")
 
+    # Distances at/above the thresholds are disqualified (NaN included).
     dist_p = pairwise_distances(patient_features)
+    np.copyto(dist_p, _INF, where=~(dist_p < gamma_p))
     dist_d = pairwise_distances(drug_features)
+    np.copyto(dist_d, _INF, where=~(dist_d < gamma_d))
 
-    # Distances at/above the thresholds are disqualified.
-    dist_p_masked = np.where(dist_p < gamma_p, dist_p, _INF)
-    dist_d_masked = np.where(dist_d < gamma_d, dist_d, _INF)
+    # Group patients by treatment row; near[i, r] / arg[i, r] are the
+    # nearest in-threshold distance from i to group r and its first patient.
+    # The lexsort is stable, so each group lists its members in order.
+    order = np.lexsort(treatment.T) if n else np.arange(m)
+    sorted_rows = treatment[order]
+    starts = np.ones(m, dtype=bool)
+    starts[1:] = (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
+    rows_t = sorted_rows[starts]
+    num_groups = len(rows_t)
+    group = np.empty(m, dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    sizes = np.bincount(group, minlength=num_groups)
+    near = np.empty((m, num_groups))
+    arg = np.empty((m, num_groups), dtype=np.int64)
+    everyone = np.arange(m)
+    for r, cols in enumerate(np.split(order, np.flatnonzero(starts))[1:]):
+        block = dist_p[:, cols]
+        first = block.argmin(axis=1)
+        near[:, r] = block[everyone, first]
+        arg[:, r] = cols[first]
 
     treatment_cf = treatment.copy()
     outcome_cf = outcomes.copy()
@@ -114,33 +151,53 @@ def build_counterfactual_links(
     neighbor_drug = np.full((m, n), -1, dtype=np.int64)
 
     for v in range(n):
-        drug_dist = dist_d_masked[v]  # (n,)
-        # f[t][j] = min over drugs u with T[j, u] = t of dist_d[v, u]
-        best_u = np.empty((2, m), dtype=np.int64)
-        best_dist = np.empty((2, m))
+        # f[t][r] = min over drugs u with rows_t[r, u] = t of dist_d[v, u]
+        best_u = np.empty((2, num_groups), dtype=np.int64)
+        best_dist = np.empty((2, num_groups))
         for t in (0, 1):
-            candidate = np.where(treatment == t, drug_dist[None, :], _INF)  # (m, n)
+            candidate = np.where(rows_t == t, dist_d[v][None, :], _INF)
             best_u[t] = candidate.argmin(axis=1)
-            best_dist[t] = candidate[np.arange(m), best_u[t]]
+            best_dist[t] = candidate[np.arange(num_groups), best_u[t]]
 
         for t_iv in (0, 1):
-            rows = np.nonzero(treatment[:, v] == t_iv)[0]
-            if len(rows) == 0:
-                continue
             opposite = 1 - t_iv
-            # total[i, j] = dist_p[i, j] + f_opposite[j]
-            total = dist_p_masked[rows] + best_dist[opposite][None, :]
-            j_star = total.argmin(axis=1)
-            value = total[np.arange(len(rows)), j_star]
+            f = best_dist[opposite]
+            # Only groups with an in-threshold drug can donate.
+            donors = np.flatnonzero(np.isfinite(f))
+            rows = np.flatnonzero(treatment[:, v] == t_iv)
+            if len(donors) == 0 or len(rows) == 0:
+                continue
+            total = near[rows]
+            if len(donors) < num_groups:  # a column gather costs ~4 row gathers
+                total = total[:, donors]
+            total += f[donors]
+            best = total.argmin(axis=1)
+            at_best = (np.arange(len(rows)), best)
+            value = total[at_best]
             ok = np.isfinite(value)
-            good_rows = rows[ok]
-            j_good = j_star[ok]
-            u_good = best_u[opposite][j_good]
-            matched[good_rows, v] = True
-            neighbor_patient[good_rows, v] = j_good
-            neighbor_drug[good_rows, v] = u_good
-            treatment_cf[good_rows, v] = opposite
-            outcome_cf[good_rows, v] = outcomes[j_good, u_good]
+            j_star = arg[rows, donors[best]]
+            # Where other groups tie with the best, the first patient wins.
+            total[at_best] = _INF
+            several = np.flatnonzero(ok & (total.min(axis=1) == value))
+            tied = total[several] == value[several, None]
+            if len(several):
+                others = np.where(tied, arg[np.ix_(rows[several], donors)], m)
+                j_star[several] = np.minimum(j_star[several], others.min(axis=1))
+            # A group with several members and a finite f != 0 can hide a
+            # rounding tie behind arg; such rows take the dense scan.
+            hides = (f[donors] != 0) & (sizes[donors] > 1)
+            if hides.any():
+                suspect = ok & hides[best]
+                suspect[several] |= (tied & hides).any(axis=1)
+                dense = np.flatnonzero(suspect)
+                j_star[dense] = (dist_p[rows[dense]] + f[group]).argmin(axis=1)
+            rows, j_star = rows[ok], j_star[ok]
+            u_star = best_u[opposite][group[j_star]]
+            matched[rows, v] = True
+            neighbor_patient[rows, v] = j_star
+            neighbor_drug[rows, v] = u_star
+            treatment_cf[rows, v] = opposite
+            outcome_cf[rows, v] = outcomes[j_star, u_star]
 
     return CounterfactualLinks(
         treatment_cf=treatment_cf,

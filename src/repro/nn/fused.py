@@ -200,6 +200,14 @@ def can_fuse_pair_mlp(mlp: MLP) -> bool:
     )
 
 
+def _checked_rows(idx: np.ndarray, num_rows: int) -> np.ndarray:
+    """``idx`` as int64, raising IndexError unless every entry is a row."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if len(idx) and (idx.min() < 0 or idx.max() >= num_rows):
+        raise IndexError(f"row index out of range for {num_rows} rows")
+    return idx
+
+
 def pair_interaction_logits(
     h_left: Tensor,
     h_right: Tensor,
@@ -223,8 +231,8 @@ def pair_interaction_logits(
     and the workspace returns to the pool immediately, instead of being
     pinned by a backward closure that will never run.
     """
-    left_idx = np.asarray(left_idx, dtype=np.int64)
-    right_idx = np.asarray(right_idx, dtype=np.int64)
+    left_idx = _checked_rows(left_idx, len(h_left.data))
+    right_idx = _checked_rows(right_idx, len(h_right.data))
     w1, b1 = mlp.layers[0].weight, mlp.layers[0].bias
     w2, b2 = mlp.layers[1].weight, mlp.layers[1].bias
 
@@ -241,8 +249,10 @@ def pair_interaction_logits(
     zc = _buffer(workspace, "zc", (rows, width + 1))
     r = _buffer(workspace, "r", (rows, width))
 
-    np.take(h_left.data, left_idx, axis=0, out=hl)
-    np.take(h_right.data, right_idx, axis=0, out=hr)
+    # Indices are checked above; 'clip' skips the buffered copy that
+    # np.take's default 'raise' mode makes of the output.
+    np.take(h_left.data, left_idx, axis=0, out=hl, mode="clip")
+    np.take(h_right.data, right_idx, axis=0, out=hr, mode="clip")
     np.multiply(hl, hr, out=zc[:, :width])
     zc[:, width] = np.asarray(extra, dtype=np.float64)
     np.matmul(zc, w1.data, out=r)   # a1 = zc @ W1 + b1

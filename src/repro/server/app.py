@@ -44,7 +44,7 @@ from ..core.ms_module import Explanation
 from ..obs.log import JsonlSink
 from ..obs.trace import Span, SpanContext, Tracer, chrome_trace, parse_header
 from .batcher import BatcherClosed, MicroBatcher, SubmitTimeout
-from .metrics import GatewayMetrics
+from .metrics import CounterSet, GatewayMetrics
 from .registry import ModelRegistry, NoModelError, ServingHandle, watch
 from .resilience import CLOSED, CircuitBreaker
 
@@ -176,6 +176,9 @@ class GatewayApp:
             # (legacy variable-shape path) overrides the artifact too.
             registry.score_block = self.config.score_block
         self.metrics = GatewayMetrics(self.config.latency_reservoir)
+        #: Serving counts kept by the gateway, not by the active service,
+        #: so they run for the gateway's lifetime across hot-swaps.
+        self.served = CounterSet()
         self.started_at = time.monotonic()
         #: Request tracer (see :mod:`repro.obs`).  With the default
         #: ``trace_sample=0.0`` only requests that *arrive* with an
@@ -281,6 +284,7 @@ class GatewayApp:
                 # (feeds the breaker), a ``sleep`` rule injects scoring
                 # latency (feeds the deadline tests).
                 chaos.failpoint("gateway.score")
+                self.served.inc("patients_scored", by=int(stacked.shape[0]))
                 scores = service.predict_scores(stacked)
             except Exception:
                 # One flush failure is one scoring failure, however many
@@ -583,7 +587,8 @@ class GatewayApp:
         bad = [d for d in drugs if not 0 <= d < n]
         if bad:
             return 400, {"error": f"unknown drug ids {bad} (catalog size {n})"}
-        explanation = handle.service.explain(drugs)
+        explanation, hit = handle.service.lookup_explanation(drugs)
+        self.served.inc("cache_hits" if hit else "cache_misses")
         response = explanation_to_dict(explanation)
         response["version"] = handle.version.name
         return 200, response
@@ -752,21 +757,26 @@ class GatewayApp:
                     ),
                 ]
             )
+        hits = self.served.value("cache_hits")
+        lookups = hits + self.served.value("cache_misses")
+        samples.extend(
+            [
+                ("repro_server_patients_scored_total", {},
+                 float(self.served.value("patients_scored"))),
+                ("repro_server_explanation_cache_hits_total", {}, float(hits)),
+                ("repro_server_explanation_cache_misses_total", {},
+                 float(lookups - hits)),
+                ("repro_server_explanation_cache_hit_rate", {},
+                 hits / lookups if lookups else 0.0),
+            ]
+        )
         if self.registry.has_model:
-            handle = self.registry.active()
-            stats = handle.service.stats()
-            samples.extend(
-                [
-                    (
-                        "repro_server_model_info",
-                        {"version": handle.version.name},
-                        1.0,
-                    ),
-                    ("repro_server_patients_scored_total", {}, float(stats.patients_scored)),
-                    ("repro_server_explanation_cache_hits_total", {}, float(stats.cache_hits)),
-                    ("repro_server_explanation_cache_misses_total", {}, float(stats.cache_misses)),
-                    ("repro_server_explanation_cache_hit_rate", {}, stats.cache_hit_rate),
-                ]
+            samples.append(
+                (
+                    "repro_server_model_info",
+                    {"version": self.registry.active().version.name},
+                    1.0,
+                )
             )
         if self.worker_info is not None:
             samples.append(
@@ -807,11 +817,10 @@ class GatewayApp:
             "flushes": self.batcher.flushes,
             "queue_depth": self.batcher.queue_depth,
             "swaps": self.registry.swaps,
+            "patients_scored": self.served.value("patients_scored"),
         }
         if self.registry.has_model:
-            handle = self.registry.active()
-            snap["version"] = handle.version.name
-            snap["patients_scored"] = handle.service.stats().patients_scored
+            snap["version"] = self.registry.active().version.name
         if self.worker_info is not None:
             snap.update(self.worker_info)
         return snap

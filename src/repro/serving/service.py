@@ -184,6 +184,12 @@ class SuggestionService:
 
     def explain(self, suggested: Sequence[int]) -> Explanation:
         """MS-module explanation for one suggested drug set, LRU-cached."""
+        return self.lookup_explanation(suggested)[0]
+
+    def lookup_explanation(
+        self, suggested: Sequence[int]
+    ) -> Tuple[Explanation, bool]:
+        """:meth:`explain`, plus whether the explanation was a cache hit."""
         with self._stats_lock:
             self._requests += 1
         return self._explain_cached(canonical_suggestion(suggested))
@@ -198,18 +204,19 @@ class SuggestionService:
         """
         suggestions = self.suggest(patient_features, k)
         return [
-            self._explain_cached(canonical_suggestion(row))
+            self._explain_cached(canonical_suggestion(row))[0]
             for row in suggestions
         ]
 
-    def _explain_cached(self, key: Tuple[int, ...]) -> Explanation:
+    def _explain_cached(self, key: Tuple[int, ...]) -> Tuple[Explanation, bool]:
         with self._stats_lock:
             self._explanations_served += 1
         explanation = self._cache.get(key)
-        if explanation is None:
-            explanation = self._ms.explain(key)
-            self._cache.put(key, explanation)
-        return explanation
+        if explanation is not None:
+            return explanation, True
+        explanation = self._ms.explain(key)
+        self._cache.put(key, explanation)
+        return explanation, False
 
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:

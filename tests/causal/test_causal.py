@@ -11,7 +11,90 @@ from repro.causal import (
     pairwise_distances,
     suggest_gammas,
 )
+from repro.data import generate_chronic_cohort
 from repro.graph import SignedGraph
+
+
+def _reference_links(px, dx, treatment, outcomes, gamma_p, gamma_d):
+    """The direct O(n m^2) scan: one masked (m, m) argmin per drug.
+
+    The oracle for ``build_counterfactual_links``; returns its five arrays.
+    """
+    treatment = np.asarray(treatment, dtype=np.int64)
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    m, n = treatment.shape
+    dist_p = pairwise_distances(px)
+    dist_d = pairwise_distances(dx)
+    dist_p_masked = np.where(dist_p < gamma_p, dist_p, np.inf)
+    dist_d_masked = np.where(dist_d < gamma_d, dist_d, np.inf)
+
+    treatment_cf = treatment.copy()
+    outcome_cf = outcomes.copy()
+    matched = np.zeros((m, n), dtype=bool)
+    neighbor_patient = np.full((m, n), -1, dtype=np.int64)
+    neighbor_drug = np.full((m, n), -1, dtype=np.int64)
+    for v in range(n):
+        best_u = np.empty((2, m), dtype=np.int64)
+        best_dist = np.empty((2, m))
+        for t in (0, 1):
+            candidate = np.where(treatment == t, dist_d_masked[v][None, :], np.inf)
+            best_u[t] = candidate.argmin(axis=1)
+            best_dist[t] = candidate[np.arange(m), best_u[t]]
+        for t_iv in (0, 1):
+            rows = np.nonzero(treatment[:, v] == t_iv)[0]
+            if len(rows) == 0:
+                continue
+            opposite = 1 - t_iv
+            total = dist_p_masked[rows] + best_dist[opposite][None, :]
+            j_star = total.argmin(axis=1)
+            ok = np.isfinite(total[np.arange(len(rows)), j_star])
+            good_rows, j_good = rows[ok], j_star[ok]
+            u_good = best_u[opposite][j_good]
+            matched[good_rows, v] = True
+            neighbor_patient[good_rows, v] = j_good
+            neighbor_drug[good_rows, v] = u_good
+            treatment_cf[good_rows, v] = opposite
+            outcome_cf[good_rows, v] = outcomes[j_good, u_good]
+    return treatment_cf, outcome_cf, matched, neighbor_patient, neighbor_drug
+
+
+def assert_links_equal_reference(px, dx, treatment, outcomes, gamma_p, gamma_d):
+    links = build_counterfactual_links(px, dx, treatment, outcomes, gamma_p, gamma_d)
+    expected = _reference_links(px, dx, treatment, outcomes, gamma_p, gamma_d)
+    got = (links.treatment_cf, links.outcome_cf, links.matched,
+           links.neighbor_patient, links.neighbor_drug)
+    for name, a, b in zip(("treatment_cf", "outcome_cf", "matched",
+                           "neighbor_patient", "neighbor_drug"), got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    return links
+
+
+@st.composite
+def link_inputs(draw):
+    """Small cohorts built to hit ties: grid patient features (duplicates,
+    equal distances), one-hot or dense drug features (dense ones scaled up
+    so f dwarfs patient distances and rounding ties appear), treatment
+    rows shared within clusters or fully random, thresholds from
+    "no donor at all" to "every donor"."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    px = rng.integers(0, draw(st.integers(1, 4)), size=(m, draw(st.integers(1, 3))))
+    px = px.astype(np.float64) * draw(st.sampled_from([1.0, 0.1]))
+    if draw(st.booleans()):
+        dx, scale = np.eye(n), 1.0
+    else:
+        scale = draw(st.sampled_from([1.0, 1e16]))
+        dx = rng.integers(0, 3, size=(n, draw(st.integers(1, 3)))) * scale
+    if draw(st.booleans()):
+        clusters = rng.integers(0, draw(st.integers(1, 4)), size=m)
+        treatment = rng.integers(0, 2, size=(4, n))[clusters]
+    else:
+        treatment = rng.integers(0, 2, size=(m, n))
+    outcomes = rng.integers(0, 2, size=(m, n))
+    gamma_p = draw(st.sampled_from([1e-9, 0.15, 1.0, 2.5, 1e9]))
+    gamma_d = draw(st.sampled_from([1e-9, 1.5, 3.0, 1e9])) * scale
+    return px, dx, treatment, outcomes, gamma_p, gamma_d
 
 
 def tiny_setup():
@@ -214,6 +297,50 @@ class TestCounterfactualLinks:
         links = build_counterfactual_links(px, dx, treatment, outcomes, 0.5, 0.5)
         unmatched = ~links.matched
         assert np.array_equal(links.outcome_cf[unmatched], outcomes[unmatched])
+
+    @settings(max_examples=300, deadline=None)
+    @given(link_inputs())
+    def test_matches_direct_scan(self, case):
+        assert_links_equal_reference(*case)
+
+    def test_matches_direct_scan_on_cluster_treatment(self):
+        cohort = generate_chronic_cohort(num_patients=400, seed=2)
+        x, y = cohort.features, cohort.medications
+        z = np.eye(y.shape[1])
+        treatment = build_treatment(x, y, cohort.ddi.graph, num_clusters=10, seed=0).matrix
+        assert len(np.unique(treatment, axis=0)) <= 10
+        gamma_p, gamma_d = suggest_gammas(x, z, quantile=0.25)
+        links = assert_links_equal_reference(x, z, treatment, y, gamma_p, gamma_d)
+        assert 0.0 < links.match_rate < 1.0
+
+    def test_rounding_tie_goes_to_first_patient(self):
+        # Donors 1 and 2 share a treatment row; 2 is nearer, but with
+        # f = 1e16 both totals round to 1e16, so the first index wins.
+        px = np.array([[0.0], [0.5], [0.25]])
+        dx = np.array([[0.0], [1e16]])
+        treatment = np.array([[1, 1], [1, 0], [1, 0]])
+        outcomes = np.array([[0, 0], [1, 1], [0, 0]])
+        links = assert_links_equal_reference(px, dx, treatment, outcomes, 10.0, 1e17)
+        assert links.neighbor_patient[0, 0] == 1
+        assert links.neighbor_drug[0, 0] == 1
+
+    def test_rounding_tie_behind_an_exact_tie(self):
+        # Patient 3 (f = 0, distance 1e16) ties exactly with the group of
+        # patients 1 and 2 (f = 1e16), which hides a rounding tie: the
+        # first patient over both groups is 1, not either group's nearest.
+        px = np.array([[0.0], [0.5], [0.25], [1e16]])
+        dx = np.array([[0.0], [1e16]])
+        treatment = np.array([[1, 1], [1, 0], [1, 0], [0, 0]])
+        outcomes = np.array([[0, 0], [1, 1], [0, 0], [0, 0]])
+        links = assert_links_equal_reference(px, dx, treatment, outcomes, 1e17, 1e17)
+        assert links.neighbor_patient[0, 0] == 1
+
+    def test_empty_cohort(self):
+        links = build_counterfactual_links(
+            np.zeros((0, 2)), np.zeros((3, 2)), np.zeros((0, 3)),
+            np.zeros((0, 3)), 1.0, 1.0,
+        )
+        assert links.matched.shape == (0, 3)
 
     def test_suggest_gammas_monotone_in_quantile(self):
         rng = np.random.default_rng(3)

@@ -245,6 +245,26 @@ class TestFusedOps:
         for got, expected in zip(fused_grads, generic_grads):
             np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("side,bad", [
+        ("left", 20), ("left", -1), ("right", 6), ("right", -7),
+    ])
+    def test_pair_interaction_logits_rejects_out_of_range_rows(self, rng, side, bad):
+        from repro.nn import MLP
+        from repro.nn.fused import pair_interaction_logits
+
+        h = 4
+        mlp = MLP([h + 1, h, 1], rng, activation="relu")
+        hp = Tensor(rng.normal(size=(20, h)))
+        hd = Tensor(rng.normal(size=(6, h)))
+        li = np.array([0, 19, 3])
+        ri = np.array([5, 0, 2])
+        if side == "left":
+            li[1] = bad
+        else:
+            ri[1] = bad
+        with pytest.raises(IndexError):
+            pair_interaction_logits(hp, hd, li, ri, np.zeros(3), mlp)
+
     def test_lightgcn_scan_matches_generic(self, rng, bipartite_graph):
         from repro.gnn import LightGCNPropagation, default_layer_weights
         from repro.nn import matmul_fixed

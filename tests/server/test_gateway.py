@@ -141,13 +141,39 @@ class TestOtherRoutes:
             ModelRegistry(root),
             ServerConfig(max_batch_size=8, score_block=8),
         )
+        served = (
+            "repro_server_patients_scored_total",
+            "repro_server_explanation_cache_hits_total",
+            "repro_server_explanation_cache_misses_total",
+        )
+
+        def counts():
+            values = dict(
+                line.rsplit(" ", 1) for line in gateway.metrics_text().splitlines()
+                if line.startswith(served)
+            )
+            snap = gateway.stats_snapshot()["patients_scored"]
+            return [float(values[name]) for name in served] + [snap]
+
+        def traffic():
+            assert gateway.suggest({"features": _pool[:3].tolist(), "k": 2})[0] == 200
+            for _ in range(2):  # a miss, then a hit, on each model
+                assert gateway.explain({"suggested": [0, 1]})[0] == 200
+
         try:
             status, body = gateway.reload()
             assert status == 200 and body["reloaded"] is False
+            traffic()
+            before = counts()
+            assert before == [3.0, 1.0, 1.0, 3]
             publish_artifact(system, root, reuse_identical=False)
             status, body = gateway.reload()
             assert status == 200 and body["reloaded"] is True
             assert body["version"].startswith("v0002-")
+            # Served counters are the gateway's: a swap does not reset them.
+            assert counts() == before
+            traffic()
+            assert counts() == [6.0, 2.0, 2.0, 6]
         finally:
             gateway.close()
 
