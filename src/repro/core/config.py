@@ -89,9 +89,9 @@ class MDGCNConfig(_SerializableConfig):
     # Adjacency representation: "auto" applies the repro.nn.sparse density
     # policy, "dense"/"sparse" force one path (dense = bitwise seed compat).
     propagation_backend: str = "auto"
-    # Upper bound on (patients x drugs) decoder rows materialized at once
-    # by predict_scores; keeps the scoring intermediates bounded on large
-    # cohorts.  Small requests fit in one chunk and replay the seed path.
+    # Cap on the (patients x drugs) decoder rows of one predict_scores
+    # block: it can only shrink md_module.SCORE_BLOCK_PATIENTS (to four
+    # patients at the least), and scores are the same for every value.
     score_chunk_rows: int = 262144
     seed: int = 43
 

@@ -19,7 +19,8 @@ MDGCN has an encoder and a decoder:
 
 Inference for *unobserved* patients re-derives their treatment row from
 the fitted K-means clustering and the DDI synergy propagation, then scores
-every drug.
+every drug with :func:`score_all_drugs`, the one Eq. 14 inference kernel
+(the serving path's :class:`repro.serving.BatchScorer` calls it too).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from ..nn import (
     bce_with_logits,
     concat,
     gather_rows,
+    stable_sigmoid,
 )
 from ..nn import sparse as sparse_backend
 from ..nn.fused import can_fuse_pair_mlp, pair_interaction_logits
@@ -60,6 +62,63 @@ from ..train import (
     fit_or_resume,
 )
 from .config import MDGCNConfig
+
+#: Patients per block of :func:`score_all_drugs`: 8 x 86 drugs x 65
+#: doubles is about 350 KB, which stays in L2 through the GEMMs.
+SCORE_BLOCK_PATIENTS = 8
+
+
+def score_all_drugs(
+    h_patients: np.ndarray,
+    drug_reps: np.ndarray,
+    treatment: np.ndarray,
+    weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
+    block: int = SCORE_BLOCK_PATIENTS,
+) -> np.ndarray:
+    """Eq. 14 sigmoid scores (B, n) of ``drug_reps`` for ``h_patients``.
+
+    ``treatment`` holds the (B, n) T_iv; the decoder MLP has ReLU between
+    layers and a linear output.  Each block of patients writes
+    ``[h_i ⊙ h'_v, T_iv]`` into one per-call workspace and decodes it
+    with one GEMM per layer.  Scores are bitwise those of one decode over
+    the whole batch: products are elementwise, GEMM rows do not depend on
+    the row count (from two rows up), and ``block`` is rounded down to a
+    multiple of four because BLAS finishes the last ``rows % 4`` rows of
+    the output layer's matrix-vector product in a separate loop; whole
+    groups of four patients leave only the batch's last rows there.
+    """
+    num, width = h_patients.shape
+    n = drug_reps.shape[0]
+    block = max(1, min(max(4, block - block % 4), num))
+    workspace = np.empty((block, n, width + 1))
+    out = np.empty((num, n))
+    for start in range(0, num, block):
+        stop = min(start + block, num)
+        ws = workspace[: stop - start]
+        np.multiply(h_patients[start:stop, None, :], drug_reps, out=ws[:, :, :width])
+        ws[:, :, width] = treatment[start:stop]
+        z = ws.reshape(-1, width + 1)
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            if layer:
+                np.maximum(z, 0.0, out=z)
+            z = z @ w
+            z += b
+        out[start:stop] = stable_sigmoid(z.reshape(stop - start, n))
+    return out
+
+
+def derive_treatment(
+    patient_features: np.ndarray, clustering: KMeansResult, cluster_drugs: np.ndarray, synergy
+) -> np.ndarray:
+    """Treatment rows of unobserved patients (Sec. IV-B1, steps 2-3).
+
+    Each patient inherits the drugs used in its K-means cluster, then the
+    drugs one DDI synergy hop away.
+    """
+    treatment = cluster_drugs[clustering.predict(patient_features)]
+    propagated = sparse_backend.matmul(treatment, synergy) > 0
+    return np.maximum(treatment, propagated.astype(np.int64))
 
 
 @dataclass
@@ -231,6 +290,9 @@ class MDModule:
         z_t = Tensor(z)
 
         def step(state: TrainState, batch: PairBatch) -> Tensor:
+            # The optimizer updates the weights after this step, so any
+            # h'_v cached by a mid-fit predict_scores is stale from here.
+            self._drug_reps_cache = None
             h_patients, h_drugs_final = self._encode(x_t, z_t)
             batch_i, batch_v = batch.rows, batch.cols
 
@@ -300,21 +362,20 @@ class MDModule:
         patient_idx: np.ndarray,
         drug_idx: np.ndarray,
         treatment: np.ndarray,
-        needs_grad: bool = True,
     ) -> Tensor:
-        """Eq. 14: MLP([h_i ⊙ h'_v, T_iv]) -> logits.
+        """Eq. 14 for training: MLP([h_i ⊙ h'_v, T_iv]) -> logits.
 
         The standard decoder shape runs through the fused pair op (one
         graph node, hand-written backward, bitwise-identical arithmetic)
         — this path scores tens of thousands of sampled links per epoch
         and dominates training time; non-standard decoders fall back to
-        the generic op-by-op pipeline.  ``needs_grad=False`` (scoring)
-        detaches the fused op so its workspace recycles immediately.
+        the generic op-by-op pipeline.  Inference uses
+        :func:`score_all_drugs` instead.
         """
         if can_fuse_pair_mlp(self._decoder):
             return pair_interaction_logits(
                 h_patients, h_drugs, patient_idx, drug_idx, treatment,
-                self._decoder, needs_grad=needs_grad,
+                self._decoder,
             )
         h_i = gather_rows(h_patients, patient_idx)
         h_v = gather_rows(h_drugs, drug_idx)
@@ -332,11 +393,7 @@ class MDModule:
         """
         self._require_fitted()
         x = np.asarray(patient_features, dtype=np.float64)
-        clusters = self._kmeans.predict(x)
-        cluster_drugs, synergy = self._treatment_factors()
-        treatment = cluster_drugs[clusters]
-        propagated = sparse_backend.matmul(treatment, synergy) > 0
-        return np.maximum(treatment, propagated.astype(np.int64))
+        return derive_treatment(x, self._kmeans, *self._treatment_factors())
 
     def _treatment_factors(self) -> Tuple[np.ndarray, object]:
         """The two fixed factors of :meth:`treatment_for`, cached after fit.
@@ -361,12 +418,14 @@ class MDModule:
         return self._factor_cache
 
     def _fitted_drug_reps(self) -> np.ndarray:
-        """Final drug representations h'_v, computed once per fit.
+        """Final drug representations h'_v, computed once per weight update.
 
         The encoder output over the *training* graph is fixed after
         training, so re-running Eq. 10-13 (plus the DDI addition) on
         every ``predict_scores`` call is pure waste; the first call pays
-        for it and every later call reads the cache.
+        for it and every later call reads the cache.  Each training step
+        drops the cache, so scoring from a mid-fit callback never sees
+        an earlier epoch's h'_v.
         """
         if self._drug_reps_cache is None:
             _, h_drugs = self._encode(Tensor(self._x_train), Tensor(self._z_drugs))
@@ -379,35 +438,20 @@ class MDModule:
         """Suggestion scores for every drug, per patient (sigmoid probs).
 
         Uses the cached post-training drug representations (no re-encode
-        of the training set) and scores in chunks of at most
-        ``chunk_rows`` (default ``config.score_chunk_rows``) decoder rows
-        so the (patients x drugs, hidden) intermediates stay bounded on
-        large cohorts.
+        of the training set) and :func:`score_all_drugs`.  ``chunk_rows``
+        (default ``config.score_chunk_rows``) caps one block's decoder
+        rows; it can only shrink the block, and never changes the scores.
         """
         self._require_fitted()
         x = np.asarray(patient_features, dtype=np.float64)
         treatment = self.treatment_for(x)
-        h_drugs = Tensor(self._fitted_drug_reps())
-        h_new = self._patient_fc(Tensor(x)).leaky_relu()
-        n_drugs = self._y_train.shape[1]
-        num = x.shape[0]
+        h_new = self._patient_fc(Tensor(x)).leaky_relu().numpy()
         chunk_rows = chunk_rows or self.config.score_chunk_rows
-        patients_per_chunk = max(1, chunk_rows // max(n_drugs, 1))
-        scores = np.empty((num, n_drugs), dtype=np.float64)
-        drug_range = np.arange(n_drugs)
-        for start in range(0, num, patients_per_chunk):
-            stop = min(start + patients_per_chunk, num)
-            patient_idx = np.repeat(np.arange(start, stop), n_drugs)
-            drug_idx = np.tile(drug_range, stop - start)
-            logits = self._decode(
-                h_new, h_drugs, patient_idx, drug_idx,
-                treatment[patient_idx, drug_idx],
-                needs_grad=False,
-            )
-            scores[start:stop] = (
-                logits.sigmoid().numpy().reshape(stop - start, n_drugs)
-            )
-        return scores
+        block = min(SCORE_BLOCK_PATIENTS, chunk_rows // self._y_train.shape[1])
+        return score_all_drugs(
+            h_new, self._fitted_drug_reps(), treatment, *self._decoder_params(),
+            block=block,
+        )
 
     # ------------------------------------------------------------------
     def patient_representations(self, patient_features: np.ndarray) -> np.ndarray:
@@ -559,6 +603,7 @@ class MDModule:
         """
         self._require_fitted()
         cluster_drugs, synergy = self._treatment_factors()
+        weights, biases = self._decoder_params()
         return {
             "patient_weight": self._patient_fc.weight.data.copy(),
             "patient_bias": (
@@ -567,21 +612,17 @@ class MDModule:
                 else np.zeros(self._patient_fc.out_features)
             ),
             "drug_reps": self.drug_representations(),
-            "decoder_weights": [
-                layer.weight.data.copy() for layer in self._decoder.layers
-            ],
-            "decoder_biases": [
-                (
-                    layer.bias.data.copy()
-                    if layer.bias is not None
-                    else np.zeros(layer.out_features)
-                )
-                for layer in self._decoder.layers
-            ],
+            "decoder_weights": [w.copy() for w in weights],
+            "decoder_biases": [b.copy() for b in biases],
             "kmeans": self._kmeans,
             "cluster_drugs": cluster_drugs,
             "synergy": synergy,
         }
+
+    def _decoder_params(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """The Eq. 14 MLP's (weights, biases), as :func:`score_all_drugs` takes them."""
+        layers = self._decoder.layers
+        return [layer.weight.data for layer in layers], [layer.bias.data for layer in layers]
 
     def _require_fitted(self) -> None:
         if not self._fitted:

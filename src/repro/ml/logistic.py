@@ -14,16 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..nn import stable_sigmoid
 from ..train import ConvergenceStop, TrainState, Trainer, TrainingLog
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 class LogisticRegression:
@@ -61,7 +53,7 @@ class LogisticRegression:
         self.bias = 0.0
 
         def step(state: TrainState, _batch) -> float:
-            probs = _sigmoid(x @ self.weights + self.bias)
+            probs = stable_sigmoid(x @ self.weights + self.bias)
             error = probs - y
             grad_w = x.T @ error / n + self.l2 * self.weights
             grad_b = float(error.mean())
@@ -85,7 +77,7 @@ class LogisticRegression:
         if self.weights is None:
             raise RuntimeError("call fit() before predict_proba()")
         x = np.asarray(x, dtype=np.float64)
-        return _sigmoid(x @ self.weights + self.bias)
+        return stable_sigmoid(x @ self.weights + self.bias)
 
     def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(x) >= threshold).astype(np.int64)

@@ -4,10 +4,12 @@ The DSSDDI paper's models were implemented in PyTorch; this package provides
 an equivalent, dependency-free substrate so that the full system can run in
 this environment.  See ``repro.nn.tensor`` for the autograd engine,
 ``repro.nn.sparse`` for the optional scipy-backed CSR propagation backend
-(everything degrades to dense when scipy is absent), and ``repro.nn.fused``
-for the fused training hot-path ops.
+(everything degrades to dense when scipy is absent), ``repro.nn.fused``
+for the fused training hot-path ops, and ``repro.nn.functional`` for the
+plain-array activations that autograd and inference share.
 """
 
+from .functional import leaky_relu, stable_sigmoid
 from .tensor import (
     Tensor,
     concat,
@@ -62,6 +64,8 @@ __all__ = [
     "gather_rows",
     "matmul_fixed",
     "unbroadcast",
+    "stable_sigmoid",
+    "leaky_relu",
     "Module",
     "Linear",
     "MLP",

@@ -215,7 +215,6 @@ def pair_interaction_logits(
     right_idx: np.ndarray,
     extra: np.ndarray,
     mlp: MLP,
-    needs_grad: bool = True,
 ) -> Tensor:
     """Fused ``MLP([h_left[li] * h_right[ri], extra]) -> (B,)`` logits.
 
@@ -224,12 +223,9 @@ def pair_interaction_logits(
     The forward replays the generic ops verbatim (gather, multiply,
     concatenate, x @ W + b, relu, x @ W + b, reshape), so outputs are
     bitwise identical to the unfused path; the backward computes the
-    same per-parameter expressions directly.
-
-    Pass ``needs_grad=False`` on inference paths that never call
-    ``backward`` (e.g. scoring): the result is detached from the graph
-    and the workspace returns to the pool immediately, instead of being
-    pinned by a backward closure that will never run.
+    same per-parameter expressions directly.  Inference does not come
+    through here: Eq. 14 scoring has its own blocked kernel
+    (:func:`repro.core.md_module.score_all_drugs`).
     """
     left_idx = _checked_rows(left_idx, len(h_left.data))
     right_idx = _checked_rows(right_idx, len(h_right.data))
@@ -261,7 +257,7 @@ def pair_interaction_logits(
     out = (r @ w2.data + b2.data).reshape(-1)
 
     parents = (h_left, h_right, w1, b1, w2, b2)
-    requires = needs_grad and any(p.requires_grad for p in parents)
+    requires = any(p.requires_grad for p in parents)
     result = Tensor(out, requires_grad=requires, _parents=parents if requires else ())
 
     if not requires:

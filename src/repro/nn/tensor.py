@@ -25,6 +25,8 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .functional import leaky_relu, stable_sigmoid
+
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 
@@ -348,15 +350,7 @@ class Tensor:
         return self._unary(np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
     def sigmoid(self) -> "Tensor":
-        def forward(x: np.ndarray) -> np.ndarray:
-            out = np.empty_like(x)
-            pos = x >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return out
-
-        return self._unary(forward, lambda g, x, y: g * y * (1.0 - y))
+        return self._unary(stable_sigmoid, lambda g, x, y: g * y * (1.0 - y))
 
     def relu(self) -> "Tensor":
         return self._unary(
@@ -367,22 +361,14 @@ class Tensor:
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         slope = float(negative_slope)
         return self._unary(
-            lambda x: np.where(x > 0.0, x, slope * x),
+            lambda x: leaky_relu(x, slope),
             lambda g, x, y: g * np.where(x > 0.0, 1.0, slope),
         )
 
     def softplus(self) -> "Tensor":
-        def sigmoid_stable(x: np.ndarray) -> np.ndarray:
-            out = np.empty_like(x)
-            pos = x >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return out
-
         return self._unary(
             lambda x: np.logaddexp(0.0, x),
-            lambda g, x, y: g * sigmoid_stable(x),
+            lambda g, x, y: g * stable_sigmoid(x),
         )
 
     def abs(self) -> "Tensor":

@@ -1,46 +1,27 @@
-"""Vectorized serving-time scoring for the fitted MD module.
+"""Serving-time scoring for the fitted MD module.
 
-:meth:`repro.core.MDModule.predict_scores` re-encodes the *entire training
-set* through the LightGCN propagation on every call, because the final
-drug representations h'_v (Eq. 10-13 + DDI addition) depend on it.  Those
-representations are fixed once training ends, so the serving path
-precomputes them — along with the per-cluster drug exposure and the DDI
-synergy adjacency that drive the treatment derivation — and scores a whole
-request batch with one matrix product per decoder layer instead of a
-per-patient loop.
-
-The arithmetic replays the training-time ops (same formulas, same
-operation order on the same arrays), so batch scores are bitwise identical
-to ``MDModule.predict_scores``.
+:class:`BatchScorer` freezes what ``MDModule.predict_scores`` reads from
+the live module — the final drug representations h'_v, the Eq. 9 and
+Eq. 14 weights, the per-cluster drug exposure and the DDI synergy
+adjacency — once, read-only.  Both score through
+:func:`repro.core.md_module.score_all_drugs` on the same arrays, so batch
+scores are bitwise identical to ``MDModule.predict_scores``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
-from ..core.md_module import MDModule
+from ..core.md_module import MDModule, derive_treatment, score_all_drugs
 from ..ml import KMeansResult
+from ..nn import leaky_relu
 from ..nn import sparse as sparse_backend
 
 
-def _leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    return np.where(x > 0.0, x, slope * x)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """The numerically stable piecewise sigmoid of repro.nn.Tensor."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 class BatchScorer:
-    """Precomputed, loop-free replica of ``MDModule.predict_scores``.
+    """Frozen replica of ``MDModule.predict_scores``.
 
     Build with :meth:`from_md_module`; then :meth:`scores` maps a
     (batch, d1) feature matrix to the (batch, n_drugs) sigmoid score
@@ -91,17 +72,7 @@ class BatchScorer:
     @classmethod
     def from_md_module(cls, md_module: MDModule) -> "BatchScorer":
         """Freeze a fitted MD module's scoring state into a scorer."""
-        state = md_module.scoring_state()
-        return cls(
-            patient_weight=state["patient_weight"],
-            patient_bias=state["patient_bias"],
-            drug_reps=state["drug_reps"],
-            decoder_weights=state["decoder_weights"],
-            decoder_biases=state["decoder_biases"],
-            kmeans=state["kmeans"],
-            cluster_drugs=state["cluster_drugs"],
-            synergy=state["synergy"],
-        )
+        return cls(**md_module.scoring_state())
 
     # ------------------------------------------------------------------
     def treatment_for(self, patient_features: np.ndarray) -> np.ndarray:
@@ -111,40 +82,20 @@ class BatchScorer:
         cluster exposure and synergy matrices.
         """
         x = np.atleast_2d(np.asarray(patient_features, dtype=np.float64))
-        clusters = self.kmeans.predict(x)
-        treatment = self.cluster_drugs[clusters]
-        propagated = sparse_backend.matmul(treatment, self.synergy) > 0
-        return np.maximum(treatment, propagated.astype(np.int64))
+        return derive_treatment(x, self.kmeans, self.cluster_drugs, self.synergy)
 
     def patient_representations(self, patient_features: np.ndarray) -> np.ndarray:
         """Pre-propagation patient representations h_i (Eq. 9)."""
         x = np.atleast_2d(np.asarray(patient_features, dtype=np.float64))
-        return _leaky_relu(x @ self.patient_weight + self.patient_bias)
+        return leaky_relu(x @ self.patient_weight + self.patient_bias)
 
     def scores(self, patient_features: np.ndarray) -> np.ndarray:
-        """Sigmoid suggestion scores, (batch, n_drugs), in one pass.
-
-        The (batch * n_drugs, hidden + 1) decoder input is assembled by
-        broadcasting instead of per-patient gathering; each decoder layer
-        is then a single matrix product for the whole batch.
-        """
+        """Sigmoid suggestion scores, (batch, n_drugs), via the Eq. 14 kernel."""
         x = np.atleast_2d(np.asarray(patient_features, dtype=np.float64))
-        batch = x.shape[0]
-        n = self.num_drugs
-        treatment = self.treatment_for(x)
-
-        h_patients = self.patient_representations(x)          # (B, h)
-        interaction = (
-            h_patients[:, None, :] * self.drug_reps[None, :, :]
-        ).reshape(batch * n, -1)                              # h_i ⊙ h'_v
-        t_col = np.asarray(treatment, dtype=np.float64).reshape(batch * n, 1)
-        z = np.concatenate([interaction, t_col], axis=1)      # Eq. 14 input
-        last = len(self.decoder_weights) - 1
-        for i, (w, b) in enumerate(zip(self.decoder_weights, self.decoder_biases)):
-            z = z @ w + b
-            if i < last:
-                z = np.maximum(z, 0.0)
-        return _stable_sigmoid(z.reshape(-1)).reshape(batch, n)
+        return score_all_drugs(
+            self.patient_representations(x), self.drug_reps, self.treatment_for(x),
+            self.decoder_weights, self.decoder_biases,
+        )
 
     def scores_blocked(self, patient_features: np.ndarray, block: int) -> np.ndarray:
         """Fixed-shape scoring: bitwise-independent of batch composition.

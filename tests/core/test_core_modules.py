@@ -228,6 +228,34 @@ class TestMDModule:
                 np.zeros((40, 16)),
             )
 
+    def test_scoring_mid_fit_does_not_freeze_drug_reps(self, tiny_cohort):
+        """A callback that scores at epoch 1 of 4 leaves the fit unchanged."""
+        from repro.train import Callback
+
+        x = standardize_features(tiny_cohort.features)
+
+        def fit(module, callbacks=()):
+            module.fit(
+                x[:80], tiny_cohort.medications[:80], np.eye(tiny_cohort.num_drugs),
+                tiny_cohort.ddi.graph, None, num_clusters=5, callbacks=callbacks,
+            )
+            return module
+
+        class ScoreAtEpochOne(Callback):
+            def on_epoch_end(self, state):
+                if state.epoch == 1:
+                    scoring.predict_scores(x[80:])
+
+        plain = fit(MDModule(MDGCNConfig(hidden_dim=16, epochs=4)))
+        scoring = MDModule(MDGCNConfig(hidden_dim=16, epochs=4))
+        fit(scoring, [ScoreAtEpochOne()])
+        for name, value in plain.export_state().items():
+            assert np.array_equal(scoring.export_state()[name], value), name
+        assert np.array_equal(
+            scoring.predict_scores(x[80:]).view(np.int64),
+            plain.predict_scores(x[80:]).view(np.int64),
+        )
+
     def test_requires_fit(self):
         module = MDModule(MDGCNConfig(hidden_dim=8, epochs=2))
         with pytest.raises(RuntimeError):

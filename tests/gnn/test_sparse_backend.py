@@ -366,8 +366,9 @@ class TestEndToEndEquivalence:
     def test_chunked_scoring_matches_unchunked(self, fitted_dense):
         module, x, _graph = fitted_dense
         full = module.predict_scores(x[:12])
-        chunked = module.predict_scores(x[:12], chunk_rows=5)
-        np.testing.assert_allclose(chunked, full, atol=ATOL)
+        for chunk_rows in (5, 3 * module._y_train.shape[1]):
+            chunked = module.predict_scores(x[:12], chunk_rows=chunk_rows)
+            np.testing.assert_array_equal(chunked, full)
 
     def test_batch_scorer_consumes_sparse_synergy(self, fitted_dense):
         module, x, graph = fitted_dense
