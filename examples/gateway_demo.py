@@ -83,10 +83,10 @@ def main() -> None:
         thread.start()
     for thread in threads:
         thread.join()
-    sizes = app.metrics.batch_sizes
+    flushes, rows = app.metrics["repro_server_batch_size"].observed()
     print(
-        f"served {sizes.total} patient rows in {sizes.count} flushes "
-        f"(mean micro-batch {sizes.mean:.1f} rows)"
+        f"served {rows} patient rows in {flushes} flushes "
+        f"(mean micro-batch {rows / max(flushes, 1):.1f} rows)"
     )
 
     # 4. publish a new version and hot-swap without restarting

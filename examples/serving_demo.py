@@ -89,12 +89,8 @@ def main() -> None:
         explanation = service.suggest_and_explain(x_test[:1], k=3)[0]
         print(explanation.render())
 
-        stats = service.stats()
-        print(
-            f"\nService stats: {stats.requests} requests, "
-            f"{stats.patients_scored} patients scored, "
-            f"cache {stats.cache_hits} hits / {stats.cache_misses} misses"
-        )
+        _explanation, hit = service.lookup_explanation(suggestions[0])
+        print(f"\nSame drug set again: explanation cache hit = {hit}")
 
 
 if __name__ == "__main__":

@@ -205,8 +205,6 @@ class ServerConfig(_SerializableConfig):
         watch_interval_s: poll the artifact root for new versions this
             often and hot-swap automatically (0 disables the watcher;
             POST /-/reload always works).
-        latency_reservoir: reservoir size of the latency estimator
-            behind the ``/metrics`` percentiles.
         workers: pre-fork worker process count (:mod:`repro.server.pool`).
             Each worker serves the shared listening socket with its own
             batcher/registry; 1 keeps the single-process gateway.
@@ -249,7 +247,6 @@ class ServerConfig(_SerializableConfig):
     submit_timeout_s: float = 30.0
     pinned_version: Optional[str] = None
     watch_interval_s: float = 0.0
-    latency_reservoir: int = 4096
     workers: int = 1
     mmap_artifacts: Optional[bool] = None
     drain_timeout_s: float = 10.0
@@ -276,8 +273,6 @@ class ServerConfig(_SerializableConfig):
             raise ValueError("submit_timeout_s must be > 0")
         if self.watch_interval_s < 0:
             raise ValueError("watch_interval_s must be >= 0")
-        if self.latency_reservoir < 1:
-            raise ValueError("latency_reservoir must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.drain_timeout_s <= 0:

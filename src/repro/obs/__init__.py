@@ -17,7 +17,10 @@ Public surface:
 * :func:`chrome_trace` / :func:`spans_from_chrome` — Chrome
   ``trace_event`` export and its inverse;
 * :func:`get_logger`, :class:`StructLogger`, :class:`JsonlSink`,
-  :func:`read_jsonl` — structured logging (:mod:`repro.obs.log`).
+  :func:`read_jsonl` — structured logging (:mod:`repro.obs.log`);
+* :mod:`repro.obs.metrics` — the typed metrics registry (counter,
+  histogram, gauge) behind every ``/metrics`` page, with
+  ``render`` (Prometheus text) and ``merge`` (pool-wide sums).
 """
 
 from .log import JsonlSink, StructLogger, get_logger, read_jsonl

@@ -10,8 +10,6 @@ request, and exposes Prometheus metrics.
 * :mod:`repro.server.registry` — :class:`ModelRegistry`,
   :func:`publish_artifact`: versioned artifact root with atomic
   publication, pin-or-latest selection, hot-swap, pruning.
-* :mod:`repro.server.metrics` — request counters, latency reservoir
-  percentiles, batch-size histogram, Prometheus text rendering.
 * :mod:`repro.server.app` — :class:`GatewayApp`, the
   transport-independent request handlers (deadline budgets, admission
   control, degraded mode).
@@ -22,7 +20,8 @@ request, and exposes Prometheus metrics.
 * :mod:`repro.server.pool` — the pre-fork worker pool: one shared
   listening socket, N supervised worker processes, mmap'd artifacts.
 * :mod:`repro.server.stats` — the pool's cross-process stats board
-  (per-worker JSON snapshots aggregated into ``repro_pool_*`` metrics).
+  (per-worker metrics snapshots merged into ``repro_pool_*`` families).
+  The metrics registry itself is :mod:`repro.obs.metrics`.
 * :mod:`repro.server.loadgen` — closed- and open-loop load generator
   writing ``BENCH_server.json``.
 * :mod:`repro.server.cli` — the ``repro-serve`` console script.
@@ -48,7 +47,6 @@ from ..core.config import ServerConfig
 from .app import GatewayApp, RequestError
 from .batcher import BatcherClosed, MicroBatcher, SubmitTimeout
 from .http import RequestTracker, build_server, serve_in_thread
-from .metrics import BatchSizeHistogram, CounterSet, GatewayMetrics, LatencyReservoir
 from .pool import WorkerSupervisor, backoff_delay, create_listen_socket, worker_main
 from .resilience import CircuitBreaker
 from .stats import StatsBoard, read_pool_state, write_pool_state
@@ -85,10 +83,6 @@ __all__ = [
     "StatsBoard",
     "read_pool_state",
     "write_pool_state",
-    "GatewayMetrics",
-    "CounterSet",
-    "LatencyReservoir",
-    "BatchSizeHistogram",
     "ModelRegistry",
     "ModelVersion",
     "ServingHandle",

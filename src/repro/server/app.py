@@ -2,9 +2,9 @@
 
 :class:`GatewayApp` is the transport-independent heart of the online
 gateway.  It owns the :class:`~repro.server.registry.ModelRegistry`, the
-:class:`~repro.server.batcher.MicroBatcher` and the
-:class:`~repro.server.metrics.GatewayMetrics`, and exposes one method per
-endpoint taking/returning plain Python values:
+:class:`~repro.server.batcher.MicroBatcher` and the metrics
+:class:`~repro.obs.metrics.Registry`, and exposes one method per endpoint
+taking/returning plain Python values:
 
 ========================  =============================================
 ``POST /v1/suggest``      :meth:`GatewayApp.suggest`
@@ -42,9 +42,9 @@ from .. import __version__, chaos
 from ..core.config import ServerConfig
 from ..core.ms_module import Explanation
 from ..obs.log import JsonlSink
+from ..obs.metrics import BATCH_BUCKETS, PHASE_BUCKETS, Registry, render
 from ..obs.trace import Span, SpanContext, Tracer, chrome_trace, parse_header
 from .batcher import BatcherClosed, MicroBatcher, SubmitTimeout
-from .metrics import CounterSet, GatewayMetrics
 from .registry import ModelRegistry, NoModelError, ServingHandle, watch
 from .resilience import CLOSED, CircuitBreaker
 
@@ -175,10 +175,6 @@ class GatewayApp:
             # Deployment config decides the scoring shape; an explicit 0
             # (legacy variable-shape path) overrides the artifact too.
             registry.score_block = self.config.score_block
-        self.metrics = GatewayMetrics(self.config.latency_reservoir)
-        #: Serving counts kept by the gateway, not by the active service,
-        #: so they run for the gateway's lifetime across hot-swaps.
-        self.served = CounterSet()
         self.started_at = time.monotonic()
         #: Request tracer (see :mod:`repro.obs`).  With the default
         #: ``trace_sample=0.0`` only requests that *arrive* with an
@@ -215,12 +211,14 @@ class GatewayApp:
         #: Extra text appended to /metrics (the pool's cross-process
         #: aggregate); None renders per-process metrics only.
         self.metrics_extra: Optional[Callable[[], str]] = None
+        #: Every ``/metrics`` family, registered once (read at scrape).
+        self.metrics = self._register_metrics()
         if not lazy:
             self.registry.reload()
         self.batcher = MicroBatcher(
             self._flush,
             max_batch_size=self.config.max_batch_size,
-            on_flush=lambda requests, rows: self.metrics.batch_sizes.observe(rows),
+            on_flush=lambda requests, rows: self._batch_sizes.observe(rows),
         )
         self._watch_stop = threading.Event()
         self._watch_thread: Optional[threading.Thread] = None
@@ -233,6 +231,103 @@ class GatewayApp:
                 daemon=True,
             )
             self._watch_thread.start()
+
+    def _register_metrics(self) -> Registry:
+        """The gateway's metric families, each registered once.
+
+        Serving counts (patients scored, explanation-cache lookups) are
+        the gateway's own, not the active service's, so they run for the
+        gateway's lifetime across hot-swaps.  What another object already
+        counts (flushes, swaps, breaker trips) is read from it when
+        ``/metrics`` is scraped, as are the gauges.
+        """
+        m = Registry()
+        s = "repro_server_"
+        self._requests = m.counter(
+            s + "requests_total",
+            "Finished requests by endpoint and HTTP status.",
+            ("endpoint", "status"),
+        )
+        self._latency = m.histogram(
+            s + "request_latency_seconds",
+            "End-to-end request latency by endpoint.",
+            PHASE_BUCKETS,
+            ("endpoint",),
+        )
+        self._phases = m.histogram(
+            s + "phase_latency_seconds",
+            "Request lifecycle phase durations "
+            "(parse/queue_wait/batch_wait/score/serialize).",
+            PHASE_BUCKETS,
+            ("phase",),
+        )
+        self._batch_sizes = m.histogram(
+            s + "batch_size", "Coalesced rows per micro-batch flush.", BATCH_BUCKETS
+        )
+        self._shed_total = m.counter(
+            s + "shed_total",
+            "Requests shed by admission control, deadline, or the breaker.",
+            ("reason",),
+        )
+        self._scoring_failures = m.counter(
+            s + "scoring_failures_total",
+            "Batch flushes that raised inside the scoring call.",
+        )
+        self._model_swaps = m.counter(
+            s + "model_swaps_total",
+            "Model hot-swaps by trigger (reload endpoint or watcher).",
+            ("trigger",),
+        )
+        self._patients_scored = m.counter(
+            s + "patients_scored_total", "Patient rows scored by this gateway."
+        )
+        hits = self._cache_hits = m.counter(
+            s + "explanation_cache_hits_total", "Explanations served from cache."
+        )
+        misses = self._cache_misses = m.counter(
+            s + "explanation_cache_misses_total", "Explanations computed afresh."
+        )
+        read_counters = [
+            ("flushes_total", "Micro-batch flushes.", lambda: self.batcher.flushes),
+            ("registry_swaps_total", "Model versions swapped in by the registry.",
+             lambda: self.registry.swaps),
+            ("registry_reload_errors_total", "Registry reloads that failed.",
+             lambda: self.registry.reload_errors),
+        ]
+        if self.breaker is not None:
+            read_counters += [
+                ("breaker_opens_total", "Times the scoring circuit opened.",
+                 lambda: self.breaker.opens),
+                ("breaker_rejections_total", "Requests the open circuit rejected.",
+                 lambda: self.breaker.rejections),
+            ]
+        for suffix, help_text, read in read_counters:
+            m.counter(s + suffix, help_text, read=read)
+        gauges = [
+            ("uptime_seconds", "Seconds since the gateway started.",
+             lambda: time.monotonic() - self.started_at),
+            ("queue_depth", "Patient rows waiting in the micro-batcher.",
+             lambda: self.batcher.queue_depth),
+            ("quarantined_versions", "Model versions quarantined as corrupt.",
+             lambda: len(self.registry.quarantined)),
+            ("degraded", "1 while the scoring circuit is open or probing.",
+             lambda: int(self.degraded)),
+            ("draining", "1 while the worker drains before exiting.",
+             lambda: int(self.draining)),
+            ("trace_sample", "Fraction of requests traced.",
+             lambda: self.tracer.sample),
+            ("explanation_cache_hit_rate", "Share of explanations served from cache.",
+             lambda: hits.value() / max(1, hits.value() + misses.value())),
+            ("model_info", "The active model version.",
+             lambda: [({"version": self.registry.active().version.name}, 1)]
+             if self.registry.has_model else []),
+            ("worker_info", "Identity of this pool worker.",
+             lambda: [({k: self.worker_info[k] for k in ("worker", "pid")}, 1)]
+             if self.worker_info is not None else []),
+        ]
+        for suffix, help_text, read in gauges:
+            m.gauge(s + suffix, help_text, read)
+        return m
 
     # ------------------------------------------------------------------
     def _registry_event(self, event: str, fields: Dict[str, Any]) -> None:
@@ -284,7 +379,7 @@ class GatewayApp:
                 # (feeds the breaker), a ``sleep`` rule injects scoring
                 # latency (feeds the deadline tests).
                 chaos.failpoint("gateway.score")
-                self.served.inc("patients_scored", by=int(stacked.shape[0]))
+                self._patients_scored.inc(int(stacked.shape[0]))
                 scores = service.predict_scores(stacked)
             except Exception:
                 # One flush failure is one scoring failure, however many
@@ -327,9 +422,7 @@ class GatewayApp:
         )
 
     def _on_swap(self, version) -> None:
-        self.metrics.counters.inc(
-            "repro_server_model_swaps_total", {"trigger": "watch"}
-        )
+        self._model_swaps.inc(trigger="watch")
 
     # ------------------------------------------------------------------
     def suggest(
@@ -350,10 +443,17 @@ class GatewayApp:
         """
         started = time.perf_counter()
         status, response = self._suggest_inner(body, trace_parent)
-        self.metrics.observe_request(
-            "suggest", status, time.perf_counter() - started
-        )
+        self._observe_request("suggest", status, time.perf_counter() - started)
         return status, response
+
+    def _observe_request(self, endpoint: str, status: int, seconds: float) -> None:
+        self._requests.inc(endpoint=endpoint, status=status)
+        self._latency.observe(seconds, endpoint=endpoint)
+
+    def _observe_phases(self, phases: List[Tuple[str, float, float]]) -> None:
+        """Record ``(phase, start, end)`` stamps; a negative span counts as 0."""
+        for name, start, end in phases:
+            self._phases.observe(max(0.0, end - start), phase=name)
 
     def _deadline_s(self, body: Dict[str, Any]) -> Optional[float]:
         """Effective time budget in seconds for this request, or None.
@@ -380,7 +480,7 @@ class GatewayApp:
         self, reason: str, error: str, retry_after_s: float
     ) -> Tuple[int, Dict[str, Any]]:
         """One load-shedding 503: count it, attach the retry hint."""
-        self.metrics.counters.inc("repro_server_shed_total", {"reason": reason})
+        self._shed_total.inc(reason=reason)
         return 503, {
             "error": error,
             "shed": reason,
@@ -414,9 +514,7 @@ class GatewayApp:
                 root.end()
             raise
         if status == 200:
-            self.metrics.observe_phases(
-                [(name, end - start) for name, start, end in phases]
-            )
+            self._observe_phases(phases)
         if root is not None:
             root.set("status", status)
             root.end()
@@ -516,7 +614,7 @@ class GatewayApp:
             # bug: answer 503 with a retry hint (the breaker, fed inside
             # the flush, decides whether the next attempt is even let
             # through) so a well-behaved client backs off and retries.
-            self.metrics.counters.inc("repro_server_scoring_failures_total")
+            self._scoring_failures.inc()
             retry_after = (
                 self.breaker.retry_after() if self.breaker is not None else 0.1
             )
@@ -566,9 +664,7 @@ class GatewayApp:
         """
         started = time.perf_counter()
         status, response = self._explain_inner(body)
-        self.metrics.observe_request(
-            "explain", status, time.perf_counter() - started
-        )
+        self._observe_request("explain", status, time.perf_counter() - started)
         return status, response
 
     def _explain_inner(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
@@ -588,7 +684,7 @@ class GatewayApp:
         if bad:
             return 400, {"error": f"unknown drug ids {bad} (catalog size {n})"}
         explanation, hit = handle.service.lookup_explanation(drugs)
-        self.served.inc("cache_hits" if hit else "cache_misses")
+        (self._cache_hits if hit else self._cache_misses).inc()
         response = explanation_to_dict(explanation)
         response["version"] = handle.version.name
         return 200, response
@@ -708,122 +804,15 @@ class GatewayApp:
             # serving (reload never tears it down), report the failure.
             return 500, {"error": f"reload failed: {type(exc).__name__}: {exc}"}
         if swapped:
-            self.metrics.counters.inc(
-                "repro_server_model_swaps_total", {"trigger": "reload"}
-            )
+            self._model_swaps.inc(trigger="reload")
         return 200, {"reloaded": swapped, "version": version.name}
 
     def metrics_text(self) -> str:
-        """``GET /metrics``: Prometheus text exposition of all collectors."""
-        samples: List[Tuple[str, Dict[str, str], float]] = [
-            (
-                "repro_server_uptime_seconds",
-                {},
-                time.monotonic() - self.started_at,
-            ),
-            ("repro_server_queue_depth", {}, float(self.batcher.queue_depth)),
-            ("repro_server_flushes_total", {}, float(self.batcher.flushes)),
-            (
-                "repro_server_registry_swaps_total",
-                {},
-                float(self.registry.swaps),
-            ),
-            (
-                "repro_server_registry_reload_errors_total",
-                {},
-                float(self.registry.reload_errors),
-            ),
-            (
-                "repro_server_quarantined_versions",
-                {},
-                float(len(self.registry.quarantined)),
-            ),
-            ("repro_server_degraded", {}, 1.0 if self.degraded else 0.0),
-            ("repro_server_draining", {}, 1.0 if self.draining else 0.0),
-            ("repro_server_trace_sample", {}, self.tracer.sample),
-        ]
-        if self.breaker is not None:
-            samples.extend(
-                [
-                    (
-                        "repro_server_breaker_opens_total",
-                        {},
-                        float(self.breaker.opens),
-                    ),
-                    (
-                        "repro_server_breaker_rejections_total",
-                        {},
-                        float(self.breaker.rejections),
-                    ),
-                ]
-            )
-        hits = self.served.value("cache_hits")
-        lookups = hits + self.served.value("cache_misses")
-        samples.extend(
-            [
-                ("repro_server_patients_scored_total", {},
-                 float(self.served.value("patients_scored"))),
-                ("repro_server_explanation_cache_hits_total", {}, float(hits)),
-                ("repro_server_explanation_cache_misses_total", {},
-                 float(lookups - hits)),
-                ("repro_server_explanation_cache_hit_rate", {},
-                 hits / lookups if lookups else 0.0),
-            ]
-        )
-        if self.registry.has_model:
-            samples.append(
-                (
-                    "repro_server_model_info",
-                    {"version": self.registry.active().version.name},
-                    1.0,
-                )
-            )
-        if self.worker_info is not None:
-            samples.append(
-                (
-                    "repro_server_worker_info",
-                    {
-                        "worker": str(self.worker_info["worker"]),
-                        "pid": str(self.worker_info["pid"]),
-                    },
-                    1.0,
-                )
-            )
-        text = self.metrics.render(extra_samples=samples)
+        """``GET /metrics``: Prometheus text exposition of every family."""
+        text = render(self.metrics.snapshot())
         if self.metrics_extra is not None:
             text += self.metrics_extra()
         return text
-
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """Plain-dict counters for the pool's cross-process stats board.
-
-        Everything a sibling process needs to aggregate this gateway's
-        traffic (see :class:`repro.server.stats.StatsBoard`): request
-        and 5xx totals from the counters, batcher/registry state, and
-        the served version.  JSON-safe by construction.
-        """
-        requests_total = 0
-        errors_total = 0
-        for name, labels, value in self.metrics.counters.items():
-            if name == "repro_server_requests_total":
-                requests_total += value
-                if labels.get("status", "").startswith("5"):
-                    errors_total += value
-        snap: Dict[str, Any] = {
-            "pid": os.getpid(),
-            "uptime_seconds": round(time.monotonic() - self.started_at, 3),
-            "requests_total": requests_total,
-            "errors_total": errors_total,
-            "flushes": self.batcher.flushes,
-            "queue_depth": self.batcher.queue_depth,
-            "swaps": self.registry.swaps,
-            "patients_scored": self.served.value("patients_scored"),
-        }
-        if self.registry.has_model:
-            snap["version"] = self.registry.active().version.name
-        if self.worker_info is not None:
-            snap.update(self.worker_info)
-        return snap
 
     # ------------------------------------------------------------------
     def close(self) -> None:

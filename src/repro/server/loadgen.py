@@ -204,8 +204,8 @@ class InprocTarget:
 
     def batch_counts(self) -> Tuple[float, float]:
         """(rows, flushes) the app's micro-batcher has flushed so far."""
-        histogram = self.app.metrics.batch_sizes
-        return float(histogram.total), float(histogram.count)
+        count, rows = self.app.metrics["repro_server_batch_size"].observed()
+        return float(rows), float(count)
 
 
 class HTTPTarget:
@@ -228,8 +228,9 @@ class HTTPTarget:
     def batch_counts(self) -> Optional[Tuple[float, float]]:
         """(rows, flushes) flushed so far, read from ``GET /metrics``.
 
-        Every scrape reuses one keep-alive connection, so behind a
-        pre-fork pool all readings come from the same worker.  Returns
+        Behind a pre-fork pool the page carries the pool-wide
+        ``repro_pool_batch_size`` sums, which are read in preference to
+        the answering worker's own ``repro_server_batch_size``.  Returns
         None when the gateway cannot be reached.
         """
         try:
@@ -242,21 +243,27 @@ class HTTPTarget:
         except (http.client.HTTPException, OSError):
             self.close()
             return None
-        values = {}
-        for line in text.splitlines():
-            name, _, value = line.partition(" ")
-            if name in ("repro_server_batch_size_sum", "repro_server_batch_size_count"):
-                values[name] = float(value)
-        return (
-            values.get("repro_server_batch_size_sum", 0.0),
-            values.get("repro_server_batch_size_count", 0.0),
-        )
+        return batch_counts_from_metrics(text)
 
     def close(self) -> None:
         """Close the ``/metrics`` connection (reopened on the next scrape)."""
         if self._metrics_conn is not None:
             self._metrics_conn.close()
             self._metrics_conn = None
+
+
+def batch_counts_from_metrics(text: str) -> Tuple[float, float]:
+    """(rows, flushes) from a ``/metrics`` page, pool-wide when it has them."""
+    values = {}
+    for line in text.splitlines():
+        name, _, value = line.partition(" ")
+        values[name] = value
+    pooled = "repro_pool_batch_size_count" in values
+    prefix = "repro_pool" if pooled else "repro_server"
+    return (
+        float(values.get(f"{prefix}_batch_size_sum", 0.0)),
+        float(values.get(f"{prefix}_batch_size_count", 0.0)),
+    )
 
 
 def _mean_batch_rows(

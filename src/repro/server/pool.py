@@ -181,13 +181,19 @@ def worker_main(
         app.metrics_extra = board.render_aggregate
     server = build_server(app, sock=sock, verbose=verbose)
     tracker = server.request_tracker
+    app.metrics.counter(
+        "repro_server_handled_total",
+        "HTTP requests dispatched by this worker.",
+        read=lambda: tracker.total,
+    )
+    app.metrics.gauge(
+        "repro_server_inflight_requests",
+        "HTTP requests this worker is dispatching now.",
+        lambda: tracker.inflight,
+    )
 
     def snapshot() -> dict:
-        snap = app.stats_snapshot()
-        snap["handled_total"] = tracker.total
-        snap["inflight"] = tracker.inflight
-        snap["draining"] = bool(server.draining)
-        return snap
+        return {"metrics": app.metrics.snapshot()}
 
     stop_publishing = threading.Event()
 

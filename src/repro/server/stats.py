@@ -1,12 +1,12 @@
 """Cross-process stats for the pre-fork worker pool.
 
-Workers are separate processes, so the in-process
-:class:`~repro.server.metrics.GatewayMetrics` of one worker only sees the
-requests the kernel happened to route to *it*.  The pool therefore keeps
-a shared **stats board**: a directory in which every worker periodically
-publishes a JSON snapshot of its counters (atomic ``os.replace``, so a
-reader never sees a torn file), and from which any worker's ``/metrics``
-endpoint renders pool-wide ``repro_pool_*`` aggregates.
+Workers are separate processes, so the in-process metrics registry of
+one worker only sees the requests the kernel happened to route to *it*.
+The pool therefore keeps a shared **stats board**: a directory in which
+every worker periodically publishes its registry snapshot (atomic
+``os.replace``, so a reader never sees a torn file), and from which any
+worker's ``/metrics`` endpoint renders pool-wide ``repro_pool_*``
+families with :func:`repro.obs.metrics.merge`.
 
 Files are the IPC here on purpose: no shared memory, no sockets between
 siblings, crash-tolerant by construction (a dead worker's last snapshot
@@ -27,20 +27,12 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from .. import atomicio
+from ..obs.metrics import merge, render
 
 PathLike = Union[str, Path]
-
-#: Snapshot fields summed across workers into ``repro_pool_*_total``.
-SUMMED_FIELDS: Tuple[str, ...] = (
-    "requests_total",
-    "errors_total",
-    "patients_scored",
-    "flushes",
-    "handled_total",
-)
 
 
 class StatsBoard:
@@ -49,7 +41,7 @@ class StatsBoard:
     Usage (worker side)::
 
         board = StatsBoard(stats_dir)
-        board.publish(worker_id, app.stats_snapshot())   # every interval
+        board.publish(worker_id, {"metrics": app.metrics.snapshot()})
 
     Usage (reader side — ``/metrics`` of any worker, tests)::
 
@@ -128,53 +120,25 @@ class StatsBoard:
 
         Appended verbatim to each worker's per-process ``/metrics``
         output, so scraping *any* worker through the shared socket shows
-        the whole pool: per-worker ``repro_pool_worker_*`` samples plus
-        summed ``repro_pool_*`` totals.
+        the whole pool: every ``repro_server_*`` family of the workers'
+        ``"metrics"`` snapshots, renamed ``repro_pool_*`` — counters and
+        histograms summed, gauges per ``worker`` — plus
+        ``repro_pool_workers_reporting``.
         """
         snapshots = self.read_all()
-        lines: List[str] = []
-        lines.append("# TYPE repro_pool_workers_reporting gauge")
-        lines.append(f"repro_pool_workers_reporting {len(snapshots)}")
-
-        totals = {field: 0.0 for field in SUMMED_FIELDS}
-        inflight = 0.0
-        for snap in snapshots:
-            for field in SUMMED_FIELDS:
-                totals[field] += float(snap.get(field, 0) or 0)
-            inflight += float(snap.get("inflight", 0) or 0)
-
-        lines.append("# TYPE repro_pool_requests_total counter")
-        lines.append(f"repro_pool_requests_total {int(totals['requests_total'])}")
-        lines.append("# TYPE repro_pool_errors_total counter")
-        lines.append(f"repro_pool_errors_total {int(totals['errors_total'])}")
-        lines.append("# TYPE repro_pool_patients_scored_total counter")
-        lines.append(
-            f"repro_pool_patients_scored_total {int(totals['patients_scored'])}"
+        merged = merge(
+            {str(s.get("worker", "?")): s.get("metrics", {}) for s in snapshots}
         )
-        lines.append("# TYPE repro_pool_flushes_total counter")
-        lines.append(f"repro_pool_flushes_total {int(totals['flushes'])}")
-        lines.append("# TYPE repro_pool_handled_total counter")
-        lines.append(f"repro_pool_handled_total {int(totals['handled_total'])}")
-        lines.append("# TYPE repro_pool_inflight_requests gauge")
-        lines.append(f"repro_pool_inflight_requests {int(inflight)}")
-
-        lines.append("# TYPE repro_pool_worker_info gauge")
-        for snap in snapshots:
-            wid = snap.get("worker", "?")
-            pid = snap.get("pid", "?")
-            version = snap.get("version") or "none"
-            lines.append(
-                f'repro_pool_worker_info{{worker="{wid}",pid="{pid}",'
-                f'version="{version}"}} 1'
-            )
-        lines.append("# TYPE repro_pool_worker_requests_total counter")
-        for snap in snapshots:
-            wid = snap.get("worker", "?")
-            total = int(snap.get("requests_total", 0) or 0)
-            lines.append(
-                f'repro_pool_worker_requests_total{{worker="{wid}"}} {total}'
-            )
-        return "\n".join(lines) + "\n"
+        pool = {
+            name.replace("repro_server_", "repro_pool_", 1): family
+            for name, family in merged.items()
+        }
+        pool["repro_pool_workers_reporting"] = {
+            "type": "gauge",
+            "help": "Workers whose snapshot is on the stats board.",
+            "samples": [[{}, len(snapshots)]],
+        }
+        return render(pool)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .artifact import (
 )
 from .cache import LRUCache
 from .scorer import BatchScorer
-from .service import ServiceStats, SuggestionService
+from .service import SuggestionService
 
 __all__ = [
     "FORMAT_VERSION",
@@ -44,6 +44,5 @@ __all__ = [
     "verify_artifact",
     "LRUCache",
     "BatchScorer",
-    "ServiceStats",
     "SuggestionService",
 ]

@@ -17,13 +17,10 @@ Usage::
     service = SuggestionService.load("model_dir")
     suggestions = service.suggest(x_batch, k=3)    # (batch, 3) drug ids
     explanations = service.suggest_and_explain(x_batch, k=3)
-    print(service.stats())
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,30 +32,6 @@ from ..core.system import DSSDDI
 from ..metrics import top_k_indices
 from .cache import LRUCache
 from .scorer import BatchScorer
-
-
-@dataclass
-class ServiceStats:
-    """Counters accumulated by one :class:`SuggestionService` instance.
-
-    Attributes:
-        requests: number of API calls served (suggest/explain/scores).
-        patients_scored: total patient rows scored across all batches.
-        explanations_served: explanations returned (cached or computed).
-        cache_hits / cache_misses: explanation-cache counters.
-    """
-
-    requests: int = 0
-    patients_scored: int = 0
-    explanations_served: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of explanation lookups served from the LRU cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
 
 class SuggestionService:
@@ -101,13 +74,6 @@ class SuggestionService:
             antagonism_penalty=self.config.antagonism_penalty,
             hard_exclude=self.config.hard_exclude,
         )
-        # Counter increments happen under this lock so the service can
-        # sit behind the multi-threaded gateway (repro.server) without
-        # losing updates; the numeric hot path itself is read-only.
-        self._stats_lock = threading.Lock()
-        self._requests = 0
-        self._patients_scored = 0
-        self._explanations_served = 0
 
     @classmethod
     def load(
@@ -149,9 +115,6 @@ class SuggestionService:
         built on.
         """
         x = np.atleast_2d(np.asarray(patient_features, dtype=np.float64))
-        with self._stats_lock:
-            self._requests += 1
-            self._patients_scored += x.shape[0]
         if self.config.score_block:
             return self._scorer.scores_blocked(x, self.config.score_block)
         return self._scorer.scores(x)
@@ -190,8 +153,6 @@ class SuggestionService:
         self, suggested: Sequence[int]
     ) -> Tuple[Explanation, bool]:
         """:meth:`explain`, plus whether the explanation was a cache hit."""
-        with self._stats_lock:
-            self._requests += 1
         return self._explain_cached(canonical_suggestion(suggested))
 
     def suggest_and_explain(
@@ -209,8 +170,6 @@ class SuggestionService:
         ]
 
     def _explain_cached(self, key: Tuple[int, ...]) -> Tuple[Explanation, bool]:
-        with self._stats_lock:
-            self._explanations_served += 1
         explanation = self._cache.get(key)
         if explanation is not None:
             return explanation, True
@@ -219,17 +178,6 @@ class SuggestionService:
         return explanation, False
 
     # ------------------------------------------------------------------
-    def stats(self) -> ServiceStats:
-        """Snapshot of the request and cache counters."""
-        with self._stats_lock:
-            return ServiceStats(
-                requests=self._requests,
-                patients_scored=self._patients_scored,
-                explanations_served=self._explanations_served,
-                cache_hits=self._cache.hits,
-                cache_misses=self._cache.misses,
-            )
-
     def clear_cache(self) -> None:
         """Drop cached explanations and reset the cache counters."""
         self._cache.clear()

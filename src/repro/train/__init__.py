@@ -4,8 +4,8 @@ One :class:`Trainer` drives every model in the repo (DDIGCN, MDGCN, the
 GNN baselines, and the classic-ML models) through a shared loop with a
 serializable :class:`TrainState`, deterministic batch loaders, and a
 callback protocol providing checkpointing, early stopping, LR
-scheduling, loss-curve logging and timing.  See ``docs/training.md`` for
-the architecture and the resume runbook.
+scheduling and tracing.  See ``docs/training.md`` for the architecture
+and the resume runbook.
 """
 
 from .batcher import FullBatch, Loader, MiniBatcher, PairBatch, PairNegativeSampler
@@ -14,9 +14,7 @@ from .callbacks import (
     Checkpoint,
     ConvergenceStop,
     EarlyStopping,
-    LossCurveLogger,
     LRScheduler,
-    Timer,
     TraceCallback,
 )
 from .state import (
@@ -38,11 +36,9 @@ __all__ = [
     "FullBatch",
     "LRScheduler",
     "Loader",
-    "LossCurveLogger",
     "MiniBatcher",
     "PairBatch",
     "PairNegativeSampler",
-    "Timer",
     "TraceCallback",
     "TrainState",
     "Trainer",

@@ -1,4 +1,4 @@
-"""Trainer callbacks: checkpointing, early stopping, scheduling, logging.
+"""Trainer callbacks: checkpointing, early stopping, scheduling, tracing.
 
 Callbacks observe one :class:`repro.train.Trainer` fit through four
 hooks (fit start, epoch start, epoch end, fit end) and communicate back
@@ -15,9 +15,8 @@ the same losses — as an uninterrupted run.
 from __future__ import annotations
 
 import shutil
-import time
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional, Union
 
 from .state import TrainState, checkpoint_path, list_checkpoints
 
@@ -209,34 +208,6 @@ class LRScheduler(Callback):
         state.optimizer.lr = float(self.schedule(state.epoch + 1))
 
 
-class LossCurveLogger(Callback):
-    """Collect (and optionally print) per-epoch loss-curve lines."""
-
-    def __init__(
-        self,
-        every: int = 1,
-        printer: Optional[Callable[[str], None]] = None,
-        monitor: str = "loss",
-    ) -> None:
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self.every = every
-        self.printer = printer
-        self.monitor = monitor
-        self.lines: List[str] = []
-
-    def on_epoch_end(self, state: TrainState) -> None:
-        if state.epoch % self.every != 0:
-            return
-        values = state.history.get(self.monitor)
-        if not values:
-            return
-        line = f"epoch {state.epoch}: {self.monitor}={values[-1]:.6f}"
-        self.lines.append(line)
-        if self.printer is not None:
-            self.printer(line)
-
-
 class TraceCallback(Callback):
     """Emit :mod:`repro.obs` spans for one fit: ``fit`` plus per-epoch.
 
@@ -323,26 +294,3 @@ class TraceCallback(Callback):
             self._fit_span.set("stop_reason", state.stop_reason)
         self._fit_span.__exit__(None, None, None)
         self._fit_span = None
-
-
-class Timer(Callback):
-    """Record per-epoch and total wall time."""
-
-    def __init__(self) -> None:
-        self.epoch_seconds: List[float] = []
-        self.total_seconds = 0.0
-        self._fit_started = 0.0
-        self._epoch_started = 0.0
-
-    def on_fit_start(self, state: TrainState) -> None:
-        self.epoch_seconds = []
-        self._fit_started = time.perf_counter()
-
-    def on_epoch_start(self, state: TrainState) -> None:
-        self._epoch_started = time.perf_counter()
-
-    def on_epoch_end(self, state: TrainState) -> None:
-        self.epoch_seconds.append(time.perf_counter() - self._epoch_started)
-
-    def on_fit_end(self, state: TrainState) -> None:
-        self.total_seconds = time.perf_counter() - self._fit_started

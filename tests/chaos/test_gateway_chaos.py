@@ -58,9 +58,7 @@ class TestDeadlines:
         assert body["shed"] == "deadline"
         assert body["retry_after_s"] > 0
         assert (
-            app.metrics.counters.value(
-                "repro_server_shed_total", {"reason": "deadline"}
-            )
+            app.metrics["repro_server_shed_total"].value(reason="deadline")
             == 1
         )
 
@@ -116,9 +114,7 @@ class TestCircuitBreaker:
         assert body["retry_after_s"] > 0
         assert app.batcher.flushes == flushes_when_open  # shed pre-queue
         assert (
-            app.metrics.counters.value(
-                "repro_server_shed_total", {"reason": "breaker"}
-            )
+            app.metrics["repro_server_shed_total"].value(reason="breaker")
             == 1
         )
 
@@ -161,9 +157,7 @@ class TestQueueShedding:
             assert body["shed"] == "queue_full"
             assert body["retry_after_s"] > 0
             assert (
-                app.metrics.counters.value(
-                    "repro_server_shed_total", {"reason": "queue_full"}
-                )
+                app.metrics["repro_server_shed_total"].value(reason="queue_full")
                 == 1
             )
 

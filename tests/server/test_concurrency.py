@@ -92,7 +92,8 @@ class TestConcurrentBitwiseEquality:
             results, _versions = hammer(app, pool)
             # Coalescing must actually have happened, otherwise this
             # proves nothing about batching.
-            assert app.metrics.batch_sizes.count < len(results)
+            flushes, _rows = app.metrics["repro_server_batch_size"].observed()
+            assert flushes < len(results)
         finally:
             app.close()
         expected_scores = sequential_service.predict_scores(pool)

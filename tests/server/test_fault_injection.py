@@ -150,7 +150,10 @@ class TestGracefulDrain:
         inflight_seen = 0
         while time.monotonic() < deadline:
             snaps = StatsBoard(pool.stats_dir).read_all()
-            inflight_seen = sum(int(s.get("inflight", 0)) for s in snaps)
+            inflight_seen = sum(
+                s["metrics"]["repro_server_inflight_requests"]["samples"][0][1]
+                for s in snaps
+            )
             if inflight_seen >= inflight_target:
                 break
             time.sleep(0.05)

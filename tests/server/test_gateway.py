@@ -110,8 +110,10 @@ class TestOtherRoutes:
         assert "satisfaction" in body and "text" in body
         # Second identical explain comes from the LRU cache.
         app.explain({"suggested": first["suggestions"][0]})
-        stats = app.registry.active().service.stats()
-        assert stats.cache_hits >= 1
+        hits = app.metrics["repro_server_explanation_cache_hits_total"].value()
+        assert hits >= 1
+        service = app.registry.active().service
+        assert service.lookup_explanation(first["suggestions"][0])[1] is True
 
     def test_explain_validation(self, app):
         assert app.explain({})[0] == 400
@@ -152,8 +154,8 @@ class TestOtherRoutes:
                 line.rsplit(" ", 1) for line in gateway.metrics_text().splitlines()
                 if line.startswith(served)
             )
-            snap = gateway.stats_snapshot()["patients_scored"]
-            return [float(values[name]) for name in served] + [snap]
+            scored = gateway.metrics["repro_server_patients_scored_total"].value()
+            return [float(values[name]) for name in served] + [scored]
 
         def traffic():
             assert gateway.suggest({"features": _pool[:3].tolist(), "k": 2})[0] == 200
@@ -197,8 +199,8 @@ class TestOtherRoutes:
                     break
                 time.sleep(0.02)
             assert gateway.healthz()[1]["version"] == published.name != before["version"]
-            assert gateway.metrics.counters.value(
-                "repro_server_model_swaps_total", {"trigger": "watch"}
+            assert gateway.metrics["repro_server_model_swaps_total"].value(
+                trigger="watch"
             ) == 1
         finally:
             gateway.close()

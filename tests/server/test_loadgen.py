@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core import ServerConfig
-from repro.server import GatewayApp, ModelRegistry, build_server, serve_in_thread
+from repro.obs.metrics import BATCH_BUCKETS, Registry, render
+from repro.server import (
+    GatewayApp,
+    ModelRegistry,
+    StatsBoard,
+    build_server,
+    serve_in_thread,
+)
 from repro.server.loadgen import (
     HTTPTarget,
     InprocTarget,
+    batch_counts_from_metrics,
     burst_schedule,
     make_feature_pool,
     merge_report,
@@ -50,13 +58,14 @@ class TestRunLoad:
             # include it, the per-run delta must not.
             status, _ = app.suggest({"features": pool[:6].tolist()})
             assert status == 200
-            histogram = app.metrics.batch_sizes
-            rows_before, flushes_before = histogram.total, histogram.count
+            histogram = app.metrics["repro_server_batch_size"]
+            flushes_before, rows_before = histogram.observed()
             target = HTTPTarget(f"http://127.0.0.1:{server.server_address[1]}")
             report = run_load(target, pool, duration_s=0.3, concurrency=4, k=3)
             target.close()
-            rows_run = histogram.total - rows_before
-            flushes_run = histogram.count - flushes_before
+            flushes_after, rows_after = histogram.observed()
+            rows_run = rows_after - rows_before
+            flushes_run = flushes_after - flushes_before
         finally:
             stop()
             app.close()
@@ -215,3 +224,23 @@ class TestHelpers:
     def test_http_target_rejects_non_http(self):
         with pytest.raises(ValueError):
             HTTPTarget("https://example.com")
+
+    def test_batch_counts_prefer_the_pool_wide_family(self, tmp_path):
+        board = StatsBoard(tmp_path)
+        pages = []
+        for worker, sizes in enumerate(([2, 4], [8])):
+            registry = Registry()
+            histogram = registry.histogram(
+                "repro_server_batch_size", "rows", BATCH_BUCKETS
+            )
+            for size in sizes:
+                histogram.observe(size)
+            board.publish(worker, {"metrics": registry.snapshot()})
+            pages.append(render(registry.snapshot()))
+        # A pool worker's page is its own families plus the aggregate:
+        # the pool-wide sums win over the answering worker's own.
+        pooled = pages[1] + board.render_aggregate()
+        assert batch_counts_from_metrics(pooled) == (14.0, 3.0)
+        # A single-process page has no repro_pool_ families.
+        assert batch_counts_from_metrics(pages[1]) == (8.0, 1.0)
+        assert batch_counts_from_metrics("") == (0.0, 0.0)

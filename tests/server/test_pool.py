@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import ServerConfig
+from repro.obs.metrics import Registry
 from repro.server import (
     GatewayApp,
     ModelRegistry,
@@ -118,23 +119,51 @@ class TestStatsBoard:
 
     def test_render_aggregate_sums_workers(self, tmp_path):
         board = StatsBoard(tmp_path)
-        board.publish(0, {"requests_total": 10, "errors_total": 1,
-                          "patients_scored": 10, "inflight": 2, "pid": 11})
-        board.publish(1, {"requests_total": 20, "errors_total": 0,
-                          "patients_scored": 20, "inflight": 1, "pid": 22})
-        text = board.render_aggregate()
-        assert "repro_pool_workers_reporting 2" in text
-        assert "repro_pool_requests_total 30" in text
-        assert "repro_pool_errors_total 1" in text
-        assert "repro_pool_patients_scored_total 30" in text
-        assert "repro_pool_inflight_requests 3" in text
-        assert 'repro_pool_worker_requests_total{worker="0"} 10' in text
-        assert 'repro_pool_worker_requests_total{worker="1"} 20' in text
+        workers = ((9, 1, 10, 2, 11), (20, 0, 20, 1, 22))
+        for worker, (ok, failed, scored, inflight, pid) in enumerate(workers):
+            registry = Registry()
+            requests = registry.counter(
+                "repro_server_requests_total", "requests", ("endpoint", "status")
+            )
+            requests.inc(ok, endpoint="suggest", status=200)
+            if failed:
+                requests.inc(failed, endpoint="suggest", status=503)
+            registry.counter("repro_server_patients_scored_total", "rows").inc(scored)
+            registry.gauge(
+                "repro_server_inflight_requests", "inflight", lambda n=inflight: n
+            )
+            registry.gauge(
+                "repro_server_worker_info",
+                "identity",
+                lambda w=worker, p=pid: [({"worker": w, "pid": p}, 1)],
+            )
+            board.publish(worker, {"metrics": registry.snapshot()})
+        lines = board.render_aggregate().splitlines()
+        assert "repro_pool_workers_reporting 2" in lines
+        # Counters sum per label set: 29 answered + 1 failed = 30 requests.
+        assert (
+            'repro_pool_requests_total{endpoint="suggest",status="200"} 29' in lines
+        )
+        assert 'repro_pool_requests_total{endpoint="suggest",status="503"} 1' in lines
+        assert "repro_pool_patients_scored_total 30" in lines
+        # Gauges stay per worker.
+        assert 'repro_pool_inflight_requests{worker="0"} 2' in lines
+        assert 'repro_pool_inflight_requests{worker="1"} 1' in lines
+        assert 'repro_pool_worker_info{pid="11",worker="0"} 1' in lines
+        assert 'repro_pool_worker_info{pid="22",worker="1"} 1' in lines
+        assert not any(
+            line.startswith(("repro_pool_errors_total", "repro_pool_worker_requests"))
+            for line in lines
+        )
 
     def test_empty_board_renders_zeroes(self, tmp_path):
         text = StatsBoard(tmp_path / "fresh").render_aggregate()
-        assert "repro_pool_workers_reporting 0" in text
-        assert "repro_pool_requests_total 0" in text
+        assert text.splitlines() == [
+            "# HELP repro_pool_workers_reporting "
+            "Workers whose snapshot is on the stats board.",
+            "# TYPE repro_pool_workers_reporting gauge",
+            "repro_pool_workers_reporting 0",
+        ]
 
 
 class TestPoolState:
@@ -239,14 +268,18 @@ class TestPoolSubprocess:
             status, text = pool.get("/metrics")
             assert status == 200
             assert "repro_pool_workers_reporting" in text
-            for line in text.splitlines():
-                if line.startswith("repro_pool_requests_total "):
-                    seen_total = int(line.split()[-1])
+            seen_total = sum(
+                int(line.split()[-1])
+                for line in text.splitlines()
+                if line.startswith('repro_pool_requests_total{endpoint="suggest"')
+            )
             if seen_total >= sent:
                 break
             time.sleep(0.3)  # snapshots publish every stats_interval
         assert seen_total >= sent
         assert "repro_server_worker_info" in text
+        assert "\nrepro_pool_batch_size_count " in text
+        assert 'repro_pool_worker_info{pid="' in text
 
         # --- SIGTERM: clean drain, exit 0, empty pid map --------------
         assert pool.terminate() == 0

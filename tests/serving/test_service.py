@@ -65,20 +65,21 @@ class TestExplanationCache:
         service = SuggestionService(system)
         batch = np.tile(x_test[:2], (3, 1))  # 6 patients, <= 2 distinct
         distinct = {tuple(sorted(row)) for row in system.suggest(x_test[:2], k=3)}
+        suggestions = service.suggest(batch, k=3)
+        hits = [service.lookup_explanation(row)[1] for row in suggestions]
+        assert hits.count(False) == len(distinct)
+        assert hits.count(True) == 6 - len(distinct)
         explanations = service.suggest_and_explain(batch, k=3)
         assert len(explanations) == 6
-        stats = service.stats()
-        assert stats.cache_misses == len(distinct)
-        assert stats.cache_hits == 6 - len(distinct)
-        assert stats.cache_hit_rate == pytest.approx(stats.cache_hits / 6)
         # Repeats share the cached object outright.
         assert explanations[0] is explanations[2]
+        assert explanations[0] is service.explain(suggestions[0])
 
     def test_explain_order_and_duplicates_are_one_key(self, fitted, service):
-        first = service.explain([47, 46])
-        second = service.explain([46, 47, 46])
+        first, first_hit = service.lookup_explanation([47, 46])
+        second, second_hit = service.lookup_explanation([46, 47, 46])
         assert first is second
-        assert service.stats().cache_hits == 1
+        assert (first_hit, second_hit) == (False, True)
 
     def test_explain_matches_system(self, fitted, service):
         system, _x, _ = fitted
@@ -91,17 +92,14 @@ class TestExplanationCache:
         service = SuggestionService(
             system, config=ServingConfig(explanation_cache_size=0)
         )
-        service.explain([46, 47])
-        service.explain([46, 47])
-        assert service.stats().cache_hits == 0
-        assert service.stats().cache_misses == 2
+        hits = [service.lookup_explanation([46, 47])[1] for _ in range(2)]
+        assert hits == [False, False]
 
     def test_clear_cache(self, fitted, service):
-        service.explain([46, 47])
+        assert service.lookup_explanation([46, 47])[1] is False
+        assert service.lookup_explanation([46, 47])[1] is True
         service.clear_cache()
-        service.explain([46, 47])
-        assert service.stats().cache_misses == 1
-        assert service.stats().cache_hits == 0
+        assert service.lookup_explanation([46, 47])[1] is False
 
 
 class TestRerank:

@@ -1,8 +1,8 @@
-"""Thread-safety of the serving hot path (ISSUE 4 satellite).
+"""Thread-safety of the serving hot path.
 
 The gateway hammers one ``SuggestionService`` from many worker threads;
-the LRU cache and the stats counters must not lose updates or corrupt
-their internal state under that load.
+the LRU cache must not lose updates or corrupt its internal state under
+that load.
 """
 
 import threading
@@ -62,46 +62,3 @@ class TestLRUCacheConcurrency:
         for t in threads:
             t.join()
         assert len(cache) <= 16
-
-
-class TestServiceStatsConcurrency:
-    def test_counters_lose_no_updates(self):
-        import numpy as np
-
-        from repro.core import DSSDDI, DSSDDIConfig
-        from repro.data import (
-            generate_chronic_cohort,
-            split_patients,
-            standardize_features,
-        )
-        from repro.serving import SuggestionService
-
-        cohort = generate_chronic_cohort(num_patients=80, seed=9)
-        x = standardize_features(cohort.features)
-        split = split_patients(80, seed=3)
-        config = DSSDDIConfig.fast()
-        config.ddi.epochs = 6
-        config.md.epochs = 15
-        system = DSSDDI(config)
-        system.fit(x[split.train], cohort.medications[split.train], cohort.ddi)
-        service = SuggestionService(system)
-        pool = x[split.test]
-
-        per_thread = 40
-        threads = 8
-
-        def worker(tid):
-            rng = np.random.default_rng(tid)
-            for _ in range(per_thread):
-                service.suggest(pool[int(rng.integers(0, len(pool)))][None], k=2)
-
-        workers = [
-            threading.Thread(target=worker, args=(t,)) for t in range(threads)
-        ]
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join()
-        stats = service.stats()
-        assert stats.requests == threads * per_thread
-        assert stats.patients_scored == threads * per_thread

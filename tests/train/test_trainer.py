@@ -12,10 +12,8 @@ from repro.train import (
     EarlyStopping,
     FullBatch,
     LRScheduler,
-    LossCurveLogger,
     MiniBatcher,
     PairNegativeSampler,
-    Timer,
     TrainState,
     Trainer,
     checkpoint_info,
@@ -205,22 +203,6 @@ class TestCallbacks:
         Trainer(3).fit(step, state, callbacks=[LRScheduler(schedule)])
         assert rates == [1, 2, 3]
         assert state.optimizer.lr == pytest.approx(1.0 / 3.0)
-
-    def test_loss_curve_logger_collects_lines(self):
-        step, state, _ = _quadratic_setup()
-        printed = []
-        logger = LossCurveLogger(every=2, printer=printed.append)
-        Trainer(5).fit(step, state, callbacks=[logger])
-        assert len(logger.lines) == 2  # epochs 2 and 4
-        assert printed == logger.lines
-        assert logger.lines[0].startswith("epoch 2: loss=")
-
-    def test_timer_records_epochs(self):
-        step, state, _ = _quadratic_setup()
-        timer = Timer()
-        Trainer(4).fit(step, state, callbacks=[timer])
-        assert len(timer.epoch_seconds) == 4
-        assert timer.total_seconds >= sum(timer.epoch_seconds) * 0.5
 
 
 class TestCheckpointing:
