@@ -139,8 +139,8 @@ def _epoch_step_new(module: MDModule, cohort):
         )
         logits = module._decode(
             h_patients, h_drugs, batch_i, batch_v,
-            module._treatment[batch_i, batch_v],
-        )
+            module._treatment[batch_i, batch_v][None],
+        )[0]
         loss = bce_with_logits(logits, labels)
         loss.backward()
         optimizer.step()
@@ -278,8 +278,8 @@ def _naive_predict(module: MDModule, feats: np.ndarray) -> np.ndarray:
     patient_idx = np.repeat(np.arange(num), n_drugs)
     drug_idx = np.tile(np.arange(n_drugs), num)
     logits = module._decode(
-        h_new, h_drugs, patient_idx, drug_idx, treatment[patient_idx, drug_idx]
-    )
+        h_new, h_drugs, patient_idx, drug_idx, treatment[patient_idx, drug_idx][None]
+    )[0]
     return logits.sigmoid().numpy().reshape(num, n_drugs)
 
 

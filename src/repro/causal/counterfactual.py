@@ -220,8 +220,20 @@ def suggest_gammas(
     """
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must be in (0, 1)")
-    dist_p = pairwise_distances(patient_features)
-    dist_d = pairwise_distances(drug_features)
-    off_p = dist_p[np.triu_indices_from(dist_p, k=1)]
-    off_d = dist_d[np.triu_indices_from(dist_d, k=1)]
-    return float(np.quantile(off_p, quantile)), float(np.quantile(off_d, quantile))
+    gamma_p = _distance_quantile(patient_features, quantile)
+    gamma_d = _distance_quantile(drug_features, quantile)
+    return gamma_p, gamma_d
+
+
+def _distance_quantile(features: np.ndarray, quantile: float) -> float:
+    """``quantile`` of the pairwise distances between distinct rows.
+
+    The boolean ``np.triu(ones, k=1)`` mask selects the same entries in
+    the same row-major order as ``np.triu_indices_from(dist, k=1)``
+    without its two int64 (m^2 / 2) index arrays, and the m x m matrix
+    is dropped before the quantile partitions the selection in place.
+    """
+    dist = pairwise_distances(features)
+    upper = dist[np.triu(np.ones(dist.shape, dtype=bool), k=1)]
+    del dist
+    return float(np.quantile(upper, quantile, overwrite_input=True))

@@ -15,7 +15,10 @@ MDGCN has an encoder and a decoder:
   link probability; the same decoder with the counterfactual treatment
   T^CF predicts the counterfactual outcome.
 * **Training** (Eq. 16-18): BCE on factual links (1:1 negative sampling)
-  plus delta times BCE on counterfactual links.
+  plus delta times BCE on counterfactual links.  Both terms score the
+  same sampled pairs and differ only in the treatment column, so each
+  step decodes them together: one fused node over the stacked (T, T^CF)
+  columns (:func:`repro.nn.fused.pair_interaction_logits`).
 
 Inference for *unobserved* patients re-derives their treatment row from
 the fitted K-means clustering and the DDI synergy propagation, then scores
@@ -49,6 +52,7 @@ from ..nn import (
     concat,
     gather_rows,
     stable_sigmoid,
+    stack,
 )
 from ..nn import sparse as sparse_backend
 from ..nn.fused import can_fuse_pair_mlp, pair_interaction_logits
@@ -296,19 +300,20 @@ class MDModule:
             h_patients, h_drugs_final = self._encode(x_t, z_t)
             batch_i, batch_v = batch.rows, batch.cols
 
+            # Both Eq. 18 terms decode the same pairs in one node; they
+            # differ only in the treatment column (T, then T^CF).
+            counterfactual = cfg.use_counterfactual and cfg.delta > 0
+            treatments = [self._treatment[batch_i, batch_v]]
+            if counterfactual:
+                treatments.append(treatment_cf[batch_i, batch_v])
             logits = self._decode(
-                h_patients, h_drugs_final, batch_i, batch_v,
-                self._treatment[batch_i, batch_v],
+                h_patients, h_drugs_final, batch_i, batch_v, np.stack(treatments)
             )
-            loss_factual = bce_with_logits(logits, batch.labels)
+            loss_factual = bce_with_logits(logits[0], batch.labels)
 
-            if cfg.use_counterfactual and cfg.delta > 0:
+            if counterfactual:
                 cf_labels = outcome_cf[batch_i, batch_v].astype(np.float64)
-                cf_logits = self._decode(
-                    h_patients, h_drugs_final, batch_i, batch_v,
-                    treatment_cf[batch_i, batch_v],
-                )
-                loss_cf = bce_with_logits(cf_logits, cf_labels)
+                loss_cf = bce_with_logits(logits[1], cf_labels)
                 loss = loss_factual + loss_cf * cfg.delta  # Eq. 18
                 state.log("cf", loss_cf.item())
             else:
@@ -361,27 +366,36 @@ class MDModule:
         h_drugs: Tensor,
         patient_idx: np.ndarray,
         drug_idx: np.ndarray,
-        treatment: np.ndarray,
+        treatments: np.ndarray,
     ) -> Tensor:
         """Eq. 14 for training: MLP([h_i ⊙ h'_v, T_iv]) -> logits.
 
-        The standard decoder shape runs through the fused pair op (one
-        graph node, hand-written backward, bitwise-identical arithmetic)
-        — this path scores tens of thousands of sampled links per epoch
-        and dominates training time; non-standard decoders fall back to
-        the generic op-by-op pipeline.  Inference uses
+        ``treatments`` is (terms, rows): one treatment column per term
+        over the same pairs (the factual T and, for Eq. 18, T^CF); the
+        logits come back as (terms, rows).  The standard decoder shape
+        decodes every term in one fused pair-op node (one gather, one
+        Hadamard product, one shared backward GEMM and scatter per
+        side; hand-written backward) — this path scores tens of
+        thousands of sampled links per epoch and dominates training
+        time.  Non-standard decoders fall back to the generic op-by-op
+        pipeline, one term at a time.  Inference uses
         :func:`score_all_drugs` instead.
         """
+        treatments = np.asarray(treatments, dtype=np.float64)
         if can_fuse_pair_mlp(self._decoder):
             return pair_interaction_logits(
-                h_patients, h_drugs, patient_idx, drug_idx, treatment,
+                h_patients, h_drugs, patient_idx, drug_idx, treatments,
                 self._decoder,
             )
         h_i = gather_rows(h_patients, patient_idx)
         h_v = gather_rows(h_drugs, drug_idx)
         interaction = h_i * h_v
-        t_col = Tensor(np.asarray(treatment, dtype=np.float64).reshape(-1, 1))
-        return self._decoder(concat([interaction, t_col], axis=1)).reshape(-1)
+        return stack([
+            self._decoder(
+                concat([interaction, Tensor(t.reshape(-1, 1))], axis=1)
+            ).reshape(-1)
+            for t in treatments
+        ])
 
     # ------------------------------------------------------------------
     def treatment_for(self, patient_features: np.ndarray) -> np.ndarray:

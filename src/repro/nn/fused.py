@@ -10,10 +10,18 @@ dozen intermediate tensors, each a fresh multi-megabyte allocation.
 :func:`pair_interaction_logits` runs the identical arithmetic — same
 operations, same order, bitwise-equal outputs and per-parameter
 gradients — as a single graph node with a hand-written backward that
-writes into a small pool of reused workspace buffers.  On large sampled
-batches this roughly halves the memory traffic of the dominant
-per-epoch cost.  The row scatter in the backward goes through
-:func:`repro.nn.sparse.scatter_add_rows` (CSR selection product).
+writes into a small pool of reused workspace buffers.  The row scatter
+in the backward goes through :func:`repro.nn.sparse.scatter_add_rows`
+(CSR selection product).
+
+The Eq. 18 loss decodes the same pairs twice, with the factual T and
+the counterfactual T^CF.  A 2-D ``extra`` runs every such term in the
+same node: the gathers, the Hadamard product, the backward's ``dz``
+GEMM and both scatters run once for all terms, and the workspace holds
+3 + terms buffers (``hl``, ``hr``, ``zc`` and one hidden activation per
+term).  Logits and W1/b1/W2/b2 gradients stay bitwise equal to one call
+per term; the embedding gradients sum the terms before the shared GEMM,
+so they move at rounding level only.
 
 Only the exact decoder shape the reproduction uses is fused (two Linear
 layers, ReLU between, linear output); callers must check
@@ -35,12 +43,12 @@ from . import sparse as sparse_backend
 from .layers import _ACTIVATIONS, MLP
 from .tensor import Tensor
 
-#: Per-(rows, width) pool of workspace buffer sets.  The pool as a whole
+#: Per-(rows, width, terms) pool of workspace buffer sets.  The pool as a whole
 #: is bounded by a total byte budget: releasing a workspace evicts the
 #: least-recently-used shapes until the budget holds, so long-lived
 #: processes fitting many differently-sized models cannot accumulate
 #: dead buffers.
-_POOL: Dict[Tuple[int, int], List[Dict[str, np.ndarray]]] = {}
+_POOL: Dict[Tuple[int, ...], List[Dict[str, np.ndarray]]] = {}
 _POOL_MAX_SETS = 2
 _POOL_MAX_BYTES = 192 * 1024 * 1024
 
@@ -60,8 +68,7 @@ def _pool_nbytes() -> int:
     )
 
 
-def _acquire(rows: int, width: int) -> Dict[str, np.ndarray]:
-    key = (rows, width)
+def _acquire(key: Tuple[int, ...]) -> Dict[str, np.ndarray]:
     stack = _POOL.get(key)
     if stack:
         workspace = stack.pop()
@@ -71,10 +78,9 @@ def _acquire(rows: int, width: int) -> Dict[str, np.ndarray]:
     return {}
 
 
-def _release(rows: int, width: int, workspace: Dict[str, np.ndarray]) -> None:
+def _release(key: Tuple[int, ...], workspace: Dict[str, np.ndarray]) -> None:
     if _workspace_nbytes(workspace) > _POOL_MAX_BYTES:
         return
-    key = (rows, width)
     stack = _POOL.pop(key, [])  # re-insert at the end: most recently used
     if len(stack) < _POOL_MAX_SETS:
         stack.append(workspace)
@@ -216,83 +222,117 @@ def pair_interaction_logits(
     extra: np.ndarray,
     mlp: MLP,
 ) -> Tensor:
-    """Fused ``MLP([h_left[li] * h_right[ri], extra]) -> (B,)`` logits.
+    """Fused ``MLP([h_left[li] * h_right[ri], extra])`` logits.
 
-    ``extra`` is a constant per-pair column (the treatment T_iv); it
-    carries no gradient.  ``mlp`` must satisfy :func:`can_fuse_pair_mlp`.
-    The forward replays the generic ops verbatim (gather, multiply,
-    concatenate, x @ W + b, relu, x @ W + b, reshape), so outputs are
-    bitwise identical to the unfused path; the backward computes the
-    same per-parameter expressions directly.  Inference does not come
-    through here: Eq. 14 scoring has its own blocked kernel
-    (:func:`repro.core.md_module.score_all_drugs`).
+    ``extra`` is the constant per-pair column (the treatment T_iv); it
+    carries no gradient.  A 1-D ``extra`` of shape ``(rows,)`` returns
+    ``(rows,)`` logits.  A 2-D ``extra`` of shape ``(terms, rows)``
+    decodes every row of it as one term over the same pairs — the
+    factual T and the counterfactual T^CF of Eq. 18 — and returns
+    ``(terms, rows)`` logits.  ``mlp`` must satisfy
+    :func:`can_fuse_pair_mlp`.
+
+    The gathers and the Hadamard product run once for all terms; each
+    term then replays the generic ops verbatim (concatenate, x @ W + b,
+    relu, x @ W + b), so each row of the output is bitwise identical to
+    a separate call on that term and to the unfused path.  The backward
+    takes the W1/b1/W2/b2 gradients per term with the same expressions
+    (bitwise equal to separate calls, summed over terms in order), then
+    sums the per-term ``da`` before the one shared ``dz`` GEMM and the
+    one scatter per side: the ``h_left``/``h_right`` gradients differ
+    from separate calls only by that reassociation (rounding level).
+    With one term nothing is reassociated and every gradient is bitwise
+    equal to the generic path.  The workspace is 3 + terms buffers:
+    ``hl``, ``hr``, ``zc`` and one hidden activation per term.
+
+    Inference does not come through here: Eq. 14 scoring has its own
+    blocked kernel (:func:`repro.core.md_module.score_all_drugs`).
     """
     left_idx = _checked_rows(left_idx, len(h_left.data))
     right_idx = _checked_rows(right_idx, len(h_right.data))
+    extra = np.asarray(extra, dtype=np.float64)
+    columns = extra.reshape(1, -1) if extra.ndim == 1 else extra
+    rows = len(left_idx)
+    if columns.ndim != 2 or columns.shape[1] != rows or len(right_idx) != rows:
+        raise ValueError(
+            f"extra must be (rows,) or (terms, rows) with rows = {rows} "
+            f"pairs and {len(right_idx)} right indices, got {extra.shape}"
+        )
+    terms = columns.shape[0]
     w1, b1 = mlp.layers[0].weight, mlp.layers[0].bias
     w2, b2 = mlp.layers[1].weight, mlp.layers[1].bias
 
-    rows = len(left_idx)
     width = h_left.data.shape[1]
     if w1.data.shape != (width + 1, width):
         raise ValueError(
             f"pair_interaction_logits needs a ({width + 1}, {width}) first "
             f"layer, got {w1.data.shape}; check can_fuse_pair_mlp first"
         )
-    workspace = _acquire(rows, width)
+    key = (rows, width, terms)
+    workspace = _acquire(key)
     hl = _buffer(workspace, "hl", (rows, width))
     hr = _buffer(workspace, "hr", (rows, width))
     zc = _buffer(workspace, "zc", (rows, width + 1))
-    r = _buffer(workspace, "r", (rows, width))
+    hidden = [_buffer(workspace, f"r{k}", (rows, width)) for k in range(terms)]
 
     # Indices are checked above; 'clip' skips the buffered copy that
     # np.take's default 'raise' mode makes of the output.
     np.take(h_left.data, left_idx, axis=0, out=hl, mode="clip")
     np.take(h_right.data, right_idx, axis=0, out=hr, mode="clip")
     np.multiply(hl, hr, out=zc[:, :width])
-    zc[:, width] = np.asarray(extra, dtype=np.float64)
-    np.matmul(zc, w1.data, out=r)   # a1 = zc @ W1 + b1
-    r += b1.data
-    np.maximum(r, 0.0, out=r)       # relu; (r > 0) == (a1 > 0) for the mask
-    out = (r @ w2.data + b2.data).reshape(-1)
+    out = np.empty((terms, rows), dtype=np.float64)
+    for r, column, logits in zip(hidden, columns, out):
+        zc[:, width] = column
+        np.matmul(zc, w1.data, out=r)   # a1 = zc @ W1 + b1
+        r += b1.data
+        np.maximum(r, 0.0, out=r)       # relu; (r > 0) == (a1 > 0) for the mask
+        logits[:] = (r @ w2.data + b2.data).reshape(-1)
 
     parents = (h_left, h_right, w1, b1, w2, b2)
     requires = any(p.requires_grad for p in parents)
-    result = Tensor(out, requires_grad=requires, _parents=parents if requires else ())
+    result = Tensor(
+        out.reshape(extra.shape), requires_grad=requires,
+        _parents=parents if requires else (),
+    )
 
     if not requires:
-        _release(rows, width, workspace)
+        _release(key, workspace)
         return result
 
     def backward(grad: np.ndarray) -> None:
-        g2 = grad.reshape(-1, 1)
-        if w2.requires_grad:
-            w2._accumulate(r.T @ g2)
-        if b2.requires_grad:
-            b2._accumulate(g2.sum(axis=0))
-        da = _buffer(workspace, "da", (rows, width))
-        np.matmul(g2, w2.data.T, out=da)
-        da *= r > 0.0
-        if b1.requires_grad:
-            b1._accumulate(da.sum(axis=0))
-        if w1.requires_grad:
-            w1._accumulate(zc.T @ da)
-        dz = _buffer(workspace, "dz", (rows, width + 1))
-        np.matmul(da, w1.data.T, out=dz)
-        dz0 = dz[:, :width]  # the extra column is a constant
-        # r and hl/hr are no longer needed once each product is formed,
-        # so their buffers hold the scatter operands.
+        for g2, r, column in zip(grad.reshape(terms, rows, 1), hidden, columns):
+            if w2.requires_grad:
+                w2._accumulate(r.T @ g2)
+            if b2.requires_grad:
+                b2._accumulate(g2.sum(axis=0))
+            # da_k = (g_k W2ᵀ) ⊙ [a1 > 0], written over r: W2 has one
+            # column, so the broadcast product equals the K=1 GEMM.
+            mask = r > 0.0
+            np.multiply(g2, w2.data.T, out=r)
+            r *= mask
+            if b1.requires_grad:
+                b1._accumulate(r.sum(axis=0))
+            if w1.requires_grad:
+                zc[:, width] = column
+                w1._accumulate(zc.T @ r)
+        da = hidden[0]
+        for r in hidden[1:]:
+            da += r
+        np.matmul(da, w1.data.T, out=zc)  # dz; the extra column is a constant
+        dz0 = zc[:, :width]
+        # hl and hr are no longer needed once each product is formed, so
+        # they hold the scatter operands.
         if h_right.requires_grad:
-            np.multiply(dz0, hl, out=r)
+            np.multiply(dz0, hl, out=hl)
             h_right._accumulate(
-                sparse_backend.scatter_add_rows(right_idx, r, h_right.data.shape[0])
+                sparse_backend.scatter_add_rows(right_idx, hl, h_right.data.shape[0])
             )
         if h_left.requires_grad:
-            np.multiply(dz0, hr, out=r)
+            np.multiply(dz0, hr, out=hr)
             h_left._accumulate(
-                sparse_backend.scatter_add_rows(left_idx, r, h_left.data.shape[0])
+                sparse_backend.scatter_add_rows(left_idx, hr, h_left.data.shape[0])
             )
-        _release(rows, width, workspace)
+        _release(key, workspace)
 
     result._backward = backward
     return result

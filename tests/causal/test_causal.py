@@ -353,3 +353,54 @@ class TestCounterfactualLinks:
     def test_suggest_gammas_validation(self):
         with pytest.raises(ValueError):
             suggest_gammas(np.zeros((3, 1)), np.zeros((3, 1)), quantile=1.5)
+
+
+def _reference_gammas(px, dx, quantile):
+    """``suggest_gammas`` through ``np.triu_indices_from``, the index-array
+    selection the boolean mask replaced."""
+    gammas = []
+    for features in (px, dx):
+        dist = pairwise_distances(features)
+        gammas.append(float(np.quantile(dist[np.triu_indices_from(dist, k=1)], quantile)))
+    return tuple(gammas)
+
+
+@st.composite
+def gamma_inputs(draw):
+    """Small integer-grid feature sets: duplicate rows and tied distances
+    are common, and m = 2 (a single pair) is in range."""
+    def rows(max_rows):
+        m = draw(st.integers(2, max_rows))
+        d = draw(st.integers(1, 3))
+        pool = draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+            min_size=1, max_size=m,
+        ))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))
+        return np.array([pool[i] for i in picks], dtype=np.float64)
+
+    quantile = draw(st.one_of(
+        st.sampled_from([0.1, 0.25, 0.5]),
+        st.floats(0.01, 0.99, allow_nan=False),
+    ))
+    return rows(12), rows(8), quantile
+
+
+def _float_bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestSuggestGammasMask:
+    @settings(max_examples=200, deadline=None)
+    @given(gamma_inputs())
+    def test_matches_triu_indices_bitwise(self, case):
+        px, dx, quantile = case
+        got = suggest_gammas(px, dx, quantile=quantile)
+        assert _float_bits(got) == _float_bits(_reference_gammas(px, dx, quantile))
+
+    @pytest.mark.parametrize("quantile", [0.1, 0.25, 0.5])
+    def test_matches_triu_indices_on_chronic_cohort(self, quantile):
+        cohort = generate_chronic_cohort(num_patients=300, seed=4)
+        x, z = cohort.features, np.eye(cohort.medications.shape[1])
+        got = suggest_gammas(x, z, quantile=quantile)
+        assert _float_bits(got) == _float_bits(_reference_gammas(x, z, quantile))

@@ -155,6 +155,21 @@ class TestMDModule:
         assert all(l == 0.0 for l in log.counterfactual_losses)
         assert log.cf_match_rate == 0.0
 
+    def test_generic_decode_fallback_matches_fused(self, tiny_cohort, monkeypatch):
+        """Forcing the op-by-op decoder (one term at a time) trains to the
+        same losses as the fused node that decodes T and T^CF together."""
+        _module, fused_log, _x = self._fit(tiny_cohort, epochs=5)
+        monkeypatch.setattr("repro.core.md_module.can_fuse_pair_mlp", lambda mlp: False)
+        _module, generic_log, _x = self._fit(tiny_cohort, epochs=5)
+        np.testing.assert_allclose(
+            generic_log.factual_losses, fused_log.factual_losses, rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            generic_log.counterfactual_losses, fused_log.counterfactual_losses,
+            rtol=1e-9,
+        )
+        assert fused_log.counterfactual_losses[-1] > 0.0
+
     def test_without_ddi_embeddings(self, tiny_cohort):
         module, _log, x = self._fit(tiny_cohort, ddi_emb=False)
         assert module.predict_scores(x[80:]).shape == (40, tiny_cohort.num_drugs)

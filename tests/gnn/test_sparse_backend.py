@@ -245,10 +245,116 @@ class TestFusedOps:
         for got, expected in zip(fused_grads, generic_grads):
             np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.parametrize("side,bad", [
-        ("left", 20), ("left", -1), ("right", 6), ("right", -7),
+    @pytest.mark.parametrize("terms", [1, 2, 3])
+    def test_pair_interaction_logits_terms_match_per_term_calls(self, rng, terms):
+        """A (terms, rows) ``extra`` decodes each term in one node: logits
+        and W1/b1/W2/b2 gradients equal separate 1-D calls bitwise (their
+        gradients summed in term order); the h gradients are summed
+        before the shared GEMM and scatter, so they match to rounding."""
+        from repro.nn import MLP
+        from repro.nn.fused import pair_interaction_logits
+
+        h, rows = 8, 40
+        mlp = MLP([h + 1, h, 1], rng, activation="relu")
+        hp = Tensor(rng.normal(size=(20, h)), requires_grad=True)
+        hd = Tensor(rng.normal(size=(6, h)), requires_grad=True)
+        li = rng.integers(0, 20, size=rows)
+        ri = rng.integers(0, 6, size=rows)
+        extra = rng.integers(0, 2, size=(terms, rows)).astype(float)
+        seed_grad = rng.normal(size=(terms, rows))
+        params = [hp, hd, *mlp.parameters()]
+
+        expected_logits = []
+        expected_grads = [None] * len(params)
+        for k in range(terms):
+            for p in params:
+                p.zero_grad()
+            single = pair_interaction_logits(hp, hd, li, ri, extra[k], mlp)
+            single.backward(seed_grad[k])
+            expected_logits.append(single.data)
+            expected_grads = [
+                p.grad if total is None else total + p.grad
+                for total, p in zip(expected_grads, params)
+            ]
+        for p in params:
+            p.zero_grad()
+
+        fused = pair_interaction_logits(hp, hd, li, ri, extra, mlp)
+        assert fused.shape == (terms, rows)
+        np.testing.assert_array_equal(fused.data, np.stack(expected_logits))
+        fused.backward(seed_grad)
+        for p, expected in zip(params[2:], expected_grads[2:]):
+            np.testing.assert_array_equal(p.grad, expected)
+        for p, expected in zip(params[:2], expected_grads[:2]):
+            np.testing.assert_allclose(
+                p.grad, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+            )
+
+    @pytest.mark.parametrize("extra_shape,right_rows", [
+        ((4,), 3), ((2, 4), 3), ((2, 2), 3), ((3,), 2), ((2, 3, 1), 3),
     ])
-    def test_pair_interaction_logits_rejects_out_of_range_rows(self, rng, side, bad):
+    def test_pair_interaction_logits_rejects_mismatched_rows(
+        self, rng, extra_shape, right_rows
+    ):
+        from repro.nn import MLP
+        from repro.nn.fused import pair_interaction_logits
+
+        h = 4
+        mlp = MLP([h + 1, h, 1], rng, activation="relu")
+        hp = Tensor(rng.normal(size=(20, h)))
+        hd = Tensor(rng.normal(size=(6, h)))
+        li = np.array([0, 19, 3])
+        ri = np.array([5, 0, 2])[:right_rows]
+        with pytest.raises(ValueError):
+            pair_interaction_logits(hp, hd, li, ri, np.zeros(extra_shape), mlp)
+
+    def test_pair_interaction_logits_workspace_footprint(self, rng):
+        """A 2-term step keeps 5 workspace buffers (hl, hr, zc and one
+        hidden activation per term), and the next step reuses them."""
+        from repro.nn import MLP, fused
+
+        rows, h = 4000, 16
+        mlp = MLP([h + 1, h, 1], rng, activation="relu")
+        hp = Tensor(rng.normal(size=(50, h)), requires_grad=True)
+        hd = Tensor(rng.normal(size=(10, h)), requires_grad=True)
+        li = rng.integers(0, 50, size=rows)
+        ri = rng.integers(0, 10, size=rows)
+        extra = rng.integers(0, 2, size=(2, rows)).astype(float)
+
+        def step():
+            out = fused.pair_interaction_logits(hp, hd, li, ri, extra, mlp)
+            out.backward(np.ones((2, rows)))
+
+        def pooled_addresses():
+            return sorted(
+                buf.ctypes.data
+                for stack in fused._POOL.values()
+                for workspace in stack
+                for buf in workspace.values()
+            )
+
+        five_buffers = 8 * rows * (4 * h + (h + 1))
+        fused.clear_workspaces()
+        try:
+            step()
+            first_bytes = fused._pool_nbytes()
+            first_buffers = pooled_addresses()
+            assert 0 < first_bytes <= five_buffers
+            step()
+            assert fused._pool_nbytes() == first_bytes
+            assert pooled_addresses() == first_buffers
+        finally:
+            fused.clear_workspaces()
+
+    @pytest.mark.parametrize("side,bad,extra_shape", [
+        # 1-D extra keeps the plain "side-bad" ids; 2-D adds "-2d".
+        pytest.param(side, bad, shape, id=f"{side}-{bad}{suffix}")
+        for shape, suffix in (((3,), ""), ((2, 3), "-2d"))
+        for side, bad in (("left", 20), ("left", -1), ("right", 6), ("right", -7))
+    ])
+    def test_pair_interaction_logits_rejects_out_of_range_rows(
+        self, rng, side, bad, extra_shape
+    ):
         from repro.nn import MLP
         from repro.nn.fused import pair_interaction_logits
 
@@ -263,7 +369,7 @@ class TestFusedOps:
         else:
             ri[1] = bad
         with pytest.raises(IndexError):
-            pair_interaction_logits(hp, hd, li, ri, np.zeros(3), mlp)
+            pair_interaction_logits(hp, hd, li, ri, np.zeros(extra_shape), mlp)
 
     def test_lightgcn_scan_matches_generic(self, rng, bipartite_graph):
         from repro.gnn import LightGCNPropagation, default_layer_weights

@@ -161,15 +161,27 @@ def pool_factory(model_root, tmp_path):
 
     yield launch
 
+    # A pool still running at teardown must drain on SIGTERM and exit 0;
+    # the kill() fallback only keeps a failed drain from leaving orphans.
+    drain_failures = []
     for handle in handles:
         try:
             if handle.proc.poll() is None:
                 handle.proc.send_signal(signal.SIGTERM)
                 try:
-                    handle.proc.wait(timeout=30)
+                    code = handle.proc.wait(timeout=30)
                 except subprocess.TimeoutExpired:
                     handle.proc.kill()
                     handle.proc.wait(timeout=10)
+                    drain_failures.append(
+                        f"pool pid {handle.proc.pid} did not exit within 30 s "
+                        "of SIGTERM and was killed"
+                    )
+                else:
+                    if code != 0:
+                        drain_failures.append(
+                            f"pool pid {handle.proc.pid} exited {code} after SIGTERM"
+                        )
         except OSError:
             pass
         # Belt and braces: no orphaned workers may outlive the test.
@@ -178,6 +190,8 @@ def pool_factory(model_root, tmp_path):
                 os.kill(pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 pass
+    if drain_failures:
+        pytest.fail("; ".join(drain_failures))
 
 
 @pytest.fixture(scope="session")
