@@ -24,10 +24,11 @@ The sparse and dense backends must agree within 1e-9 on
 default run deselects (``pytest -m timing`` runs them).
 The model uses a deep propagation stack (6 LightGCN layers) so the
 subsystem under test — propagation — carries realistic weight; the
-decoder cost is identical in both arms.  Results land in
-``BENCH_propagation.json`` at the repo root so the perf trajectory is
-recorded from this PR onward.  Set ``BENCH_PROP_SMOKE=1`` for the
-reduced-size CI smoke run (equivalence asserted, speedups only logged).
+decoder cost is identical in both arms.  Results land in the
+untracked ``.benchmarks/BENCH_propagation.json`` at the repo root, so
+a run leaves the tracked tree as it was.  Set ``BENCH_PROP_SMOKE=1``
+for the reduced-size CI smoke run (equivalence asserted, speedups only
+logged).
 """
 
 import json
@@ -53,7 +54,7 @@ ROUNDS = 3 if SMOKE else 8
 PREDICT_BATCH = 64
 MIN_SPEEDUP = 3.0
 RESULTS_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_propagation.json"
+    os.path.dirname(__file__), "..", ".benchmarks", "BENCH_propagation.json"
 )
 
 RESULTS = {
@@ -70,6 +71,7 @@ RESULTS = {
 @pytest.fixture(scope="module", autouse=True)
 def write_results():
     yield
+    os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)
     with open(RESULTS_PATH, "w", encoding="utf-8") as fh:
         json.dump(RESULTS, fh, indent=2)
     print(f"\nwrote {os.path.abspath(RESULTS_PATH)}")

@@ -23,10 +23,11 @@ marker, which the default run deselects (``pytest -m timing`` runs
 them); the measurements and correctness checks always run.
 
 The artifact is a paper-sized model (hidden 64 — Sec. V-A3) on the
-synthetic chronic cohort.  Results land in ``BENCH_server.json`` at the
-repo root.  Set ``BENCH_SERVER_SMOKE=1`` for the reduced CI smoke run
-(bitwise equality still asserted, the 3x floor only logged — shared
-runners cannot guarantee scheduler-sensitive wall-clock margins).
+synthetic chronic cohort.  Results land in the untracked
+``.benchmarks/BENCH_server.json`` at the repo root.  Set
+``BENCH_SERVER_SMOKE=1`` for the reduced CI smoke run (bitwise equality
+still asserted, the 3x floor only logged — shared runners cannot
+guarantee scheduler-sensitive wall-clock margins).
 """
 
 import http.client
@@ -64,7 +65,9 @@ MAX_BATCH = 64
 SCORE_BLOCK = 8
 K = 3
 MIN_SPEEDUP = 3.0
-RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_server.json")
+RESULTS_PATH = os.path.join(
+    os.path.dirname(__file__), "..", ".benchmarks", "BENCH_server.json"
+)
 
 RESULTS = {
     "config": {
@@ -150,6 +153,7 @@ def _flush_results():
     except (FileNotFoundError, json.JSONDecodeError):
         existing = {}
     existing.update(RESULTS)
+    os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)
     with open(RESULTS_PATH, "w", encoding="utf-8") as fh:
         json.dump(existing, fh, indent=2, sort_keys=True)
         fh.write("\n")

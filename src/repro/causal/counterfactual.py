@@ -87,6 +87,16 @@ def pairwise_distances(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndar
     return np.sqrt(sq, out=sq)
 
 
+def _distances(features: np.ndarray, dist: Optional[np.ndarray]) -> np.ndarray:
+    """``dist`` checked against ``features``, or their distance matrix if None."""
+    if dist is None:
+        return pairwise_distances(features)
+    rows = len(features)
+    if dist.shape != (rows, rows):
+        raise ValueError(f"distance matrix must be ({rows}, {rows}), got {dist.shape}")
+    return dist
+
+
 def build_counterfactual_links(
     patient_features: np.ndarray,
     drug_features: np.ndarray,
@@ -94,6 +104,8 @@ def build_counterfactual_links(
     outcomes: np.ndarray,
     gamma_p: float,
     gamma_d: float,
+    dist_p: Optional[np.ndarray] = None,
+    dist_d: Optional[np.ndarray] = None,
 ) -> CounterfactualLinks:
     """Construct T^CF and Y^CF per Eq. 7-8.
 
@@ -104,6 +116,10 @@ def build_counterfactual_links(
         outcomes: (m, n) binary medication use Y.
         gamma_p: max patient distance to count as similar.
         gamma_d: max drug distance to count as similar.
+        dist_p / dist_d: optional precomputed
+            :func:`pairwise_distances` of the patient / drug features
+            (computed here when absent).  A given matrix is thresholded
+            in place, so it is consumed by this call.
     """
     treatment = np.asarray(treatment, dtype=np.int64)
     outcomes = np.asarray(outcomes, dtype=np.int64)
@@ -118,9 +134,9 @@ def build_counterfactual_links(
         raise ValueError("gamma_p and gamma_d must be positive")
 
     # Distances at/above the thresholds are disqualified (NaN included).
-    dist_p = pairwise_distances(patient_features)
+    dist_p = _distances(patient_features, dist_p)
     np.copyto(dist_p, _INF, where=~(dist_p < gamma_p))
-    dist_d = pairwise_distances(drug_features)
+    dist_d = _distances(drug_features, dist_d)
     np.copyto(dist_d, _INF, where=~(dist_d < gamma_d))
 
     # Group patients by treatment row; near[i, r] / arg[i, r] are the
@@ -212,28 +228,32 @@ def suggest_gammas(
     patient_features: np.ndarray,
     drug_features: np.ndarray,
     quantile: float = 0.25,
+    dist_p: Optional[np.ndarray] = None,
+    dist_d: Optional[np.ndarray] = None,
 ) -> Tuple[float, float]:
     """Data-driven default thresholds: the given quantile of pairwise distances.
 
     The paper treats gamma_p and gamma_d as hyperparameters; a low quantile
     keeps only genuinely similar patients/drugs as counterfactual donors.
+    ``dist_p`` / ``dist_d`` are optional precomputed
+    :func:`pairwise_distances` of the features (computed here when
+    absent); they are read, not modified, so the same matrices can go on
+    to :func:`build_counterfactual_links`.
     """
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must be in (0, 1)")
-    gamma_p = _distance_quantile(patient_features, quantile)
-    gamma_d = _distance_quantile(drug_features, quantile)
+    gamma_p = _distance_quantile(_distances(patient_features, dist_p), quantile)
+    gamma_d = _distance_quantile(_distances(drug_features, dist_d), quantile)
     return gamma_p, gamma_d
 
 
-def _distance_quantile(features: np.ndarray, quantile: float) -> float:
-    """``quantile`` of the pairwise distances between distinct rows.
+def _distance_quantile(dist: np.ndarray, quantile: float) -> float:
+    """``quantile`` of the distances between distinct rows in ``dist``.
 
     The boolean ``np.triu(ones, k=1)`` mask selects the same entries in
     the same row-major order as ``np.triu_indices_from(dist, k=1)``
-    without its two int64 (m^2 / 2) index arrays, and the m x m matrix
-    is dropped before the quantile partitions the selection in place.
+    without its two int64 (m^2 / 2) index arrays, and the quantile
+    partitions that selection in place.
     """
-    dist = pairwise_distances(features)
     upper = dist[np.triu(np.ones(dist.shape, dtype=bool), k=1)]
-    del dist
     return float(np.quantile(upper, quantile, overwrite_input=True))

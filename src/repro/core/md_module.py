@@ -33,7 +33,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..causal import build_counterfactual_links, build_treatment, suggest_gammas
+from ..causal import (
+    build_counterfactual_links,
+    build_treatment,
+    pairwise_distances,
+    suggest_gammas,
+)
 from ..gnn import (
     LightGCNPropagation,
     bipartite_propagation,
@@ -236,14 +241,22 @@ class MDModule:
         self._treatment = assignment.matrix
 
         if cfg.use_counterfactual:
+            # One distance matrix per side serves both the gammas and the
+            # links; the links threshold them in place, so gammas go first,
+            # and both are dropped before training.
+            dist_p, dist_d = pairwise_distances(x), pairwise_distances(z)
             gamma_p, gamma_d = cfg.gamma_p, cfg.gamma_d
             if gamma_p is None or gamma_d is None:
-                auto_p, auto_d = suggest_gammas(x, z, quantile=cfg.gamma_quantile)
+                auto_p, auto_d = suggest_gammas(
+                    x, z, quantile=cfg.gamma_quantile, dist_p=dist_p, dist_d=dist_d
+                )
                 gamma_p = gamma_p if gamma_p is not None else auto_p
                 gamma_d = gamma_d if gamma_d is not None else auto_d
             links = build_counterfactual_links(
-                x, z, self._treatment, y, gamma_p, gamma_d
+                x, z, self._treatment, y, gamma_p, gamma_d,
+                dist_p=dist_p, dist_d=dist_d,
             )
+            del dist_p, dist_d
             treatment_cf = links.treatment_cf
             outcome_cf = links.outcome_cf
             cf_match_rate = links.match_rate
@@ -292,6 +305,9 @@ class MDModule:
 
         x_t = Tensor(x)
         z_t = Tensor(z)
+        # The fused decode's buffers, reused by every step of this fit
+        # and freed with it.
+        workspace: Dict[str, np.ndarray] = {}
 
         def step(state: TrainState, batch: PairBatch) -> Tensor:
             # The optimizer updates the weights after this step, so any
@@ -307,7 +323,8 @@ class MDModule:
             if counterfactual:
                 treatments.append(treatment_cf[batch_i, batch_v])
             logits = self._decode(
-                h_patients, h_drugs_final, batch_i, batch_v, np.stack(treatments)
+                h_patients, h_drugs_final, batch_i, batch_v, np.stack(treatments),
+                workspace=workspace,
             )
             loss_factual = bce_with_logits(logits[0], batch.labels)
 
@@ -367,6 +384,8 @@ class MDModule:
         patient_idx: np.ndarray,
         drug_idx: np.ndarray,
         treatments: np.ndarray,
+        *,
+        workspace: Optional[Dict[str, np.ndarray]] = None,
     ) -> Tensor:
         """Eq. 14 for training: MLP([h_i ⊙ h'_v, T_iv]) -> logits.
 
@@ -377,7 +396,8 @@ class MDModule:
         Hadamard product, one shared backward GEMM and scatter per
         side; hand-written backward) — this path scores tens of
         thousands of sampled links per epoch and dominates training
-        time.  Non-standard decoders fall back to the generic op-by-op
+        time; ``workspace`` is the fit's buffer dict for that node.
+        Non-standard decoders fall back to the generic op-by-op
         pipeline, one term at a time.  Inference uses
         :func:`score_all_drugs` instead.
         """
@@ -385,7 +405,7 @@ class MDModule:
         if can_fuse_pair_mlp(self._decoder):
             return pair_interaction_logits(
                 h_patients, h_drugs, patient_idx, drug_idx, treatments,
-                self._decoder,
+                self._decoder, workspace=workspace,
             )
         h_i = gather_rows(h_patients, patient_idx)
         h_v = gather_rows(h_drugs, drug_idx)

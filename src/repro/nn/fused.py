@@ -10,7 +10,7 @@ dozen intermediate tensors, each a fresh multi-megabyte allocation.
 :func:`pair_interaction_logits` runs the identical arithmetic — same
 operations, same order, bitwise-equal outputs and per-parameter
 gradients — as a single graph node with a hand-written backward that
-writes into a small pool of reused workspace buffers.  The row scatter
+writes into a few preallocated workspace buffers.  The row scatter
 in the backward goes through :func:`repro.nn.sparse.scatter_add_rows`
 (CSR selection product).
 
@@ -27,15 +27,18 @@ Only the exact decoder shape the reproduction uses is fused (two Linear
 layers, ReLU between, linear output); callers must check
 :func:`can_fuse_pair_mlp` and fall back to the generic path otherwise.
 
-The fused graph is single-shot: running ``backward`` returns the node's
-workspace to the pool, so a second ``backward`` over the same forward
-is not supported (nothing in the repository does that — each training
-step builds a fresh graph).
+The caller owns the workspace: ``MDModule.fit`` passes one dict per fit
+as ``workspace=``, each node takes its buffers out of it for its
+forward and backward and puts them back when done, and the buffers die
+with the fit.  A node that finds the dict empty (another node still
+holds the buffers) allocates its own; without a dict every call
+allocates.  The backward overwrites the buffers it reads, so each node
+supports one ``backward`` (each training step builds a fresh graph).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,63 +46,14 @@ from . import sparse as sparse_backend
 from .layers import _ACTIVATIONS, MLP
 from .tensor import Tensor
 
-#: Per-(rows, width, terms) pool of workspace buffer sets.  The pool as a whole
-#: is bounded by a total byte budget: releasing a workspace evicts the
-#: least-recently-used shapes until the budget holds, so long-lived
-#: processes fitting many differently-sized models cannot accumulate
-#: dead buffers.
-_POOL: Dict[Tuple[int, ...], List[Dict[str, np.ndarray]]] = {}
-_POOL_MAX_SETS = 2
-_POOL_MAX_BYTES = 192 * 1024 * 1024
 
-
-def clear_workspaces() -> None:
-    """Free every cached workspace buffer (e.g. after a large fit)."""
-    _POOL.clear()
-
-
-def _workspace_nbytes(workspace: Dict[str, np.ndarray]) -> int:
-    return sum(buf.nbytes for buf in workspace.values())
-
-
-def _pool_nbytes() -> int:
-    return sum(
-        _workspace_nbytes(ws) for stack in _POOL.values() for ws in stack
-    )
-
-
-def _acquire(key: Tuple[int, ...]) -> Dict[str, np.ndarray]:
-    stack = _POOL.get(key)
-    if stack:
-        workspace = stack.pop()
-        if not stack:
-            del _POOL[key]
-        return workspace
-    return {}
-
-
-def _release(key: Tuple[int, ...], workspace: Dict[str, np.ndarray]) -> None:
-    if _workspace_nbytes(workspace) > _POOL_MAX_BYTES:
-        return
-    stack = _POOL.pop(key, [])  # re-insert at the end: most recently used
-    if len(stack) < _POOL_MAX_SETS:
-        stack.append(workspace)
-    _POOL[key] = stack
-    # Evict least-recently-used shapes until the total budget holds.
-    while _pool_nbytes() > _POOL_MAX_BYTES and len(_POOL) > 1:
-        oldest = next(iter(_POOL))
-        if oldest == key:
-            break
-        del _POOL[oldest]
-
-
-def _buffer(
+def _take(
     workspace: Dict[str, np.ndarray], name: str, shape: Tuple[int, int]
 ) -> np.ndarray:
-    buf = workspace.get(name)
+    """Remove ``name`` from ``workspace``; a fresh buffer if absent or misshapen."""
+    buf = workspace.pop(name, None)
     if buf is None or buf.shape != shape:
         buf = np.empty(shape, dtype=np.float64)
-        workspace[name] = buf
     return buf
 
 
@@ -221,6 +175,8 @@ def pair_interaction_logits(
     right_idx: np.ndarray,
     extra: np.ndarray,
     mlp: MLP,
+    *,
+    workspace: Optional[Dict[str, np.ndarray]] = None,
 ) -> Tensor:
     """Fused ``MLP([h_left[li] * h_right[ri], extra])`` logits.
 
@@ -243,7 +199,10 @@ def pair_interaction_logits(
     from separate calls only by that reassociation (rounding level).
     With one term nothing is reassociated and every gradient is bitwise
     equal to the generic path.  The workspace is 3 + terms buffers:
-    ``hl``, ``hr``, ``zc`` and one hidden activation per term.
+    ``hl``, ``hr``, ``zc`` and one hidden activation per term.  They
+    come out of ``workspace`` when given (a caller-owned dict reused
+    across steps) and go back into it after the backward, or at once
+    when nothing needs a gradient.
 
     Inference does not come through here: Eq. 14 scoring has its own
     blocked kernel (:func:`repro.core.md_module.score_all_drugs`).
@@ -268,12 +227,13 @@ def pair_interaction_logits(
             f"pair_interaction_logits needs a ({width + 1}, {width}) first "
             f"layer, got {w1.data.shape}; check can_fuse_pair_mlp first"
         )
-    key = (rows, width, terms)
-    workspace = _acquire(key)
-    hl = _buffer(workspace, "hl", (rows, width))
-    hr = _buffer(workspace, "hr", (rows, width))
-    zc = _buffer(workspace, "zc", (rows, width + 1))
-    hidden = [_buffer(workspace, f"r{k}", (rows, width)) for k in range(terms)]
+    workspace = {} if workspace is None else workspace
+    hl = _take(workspace, "hl", (rows, width))
+    hr = _take(workspace, "hr", (rows, width))
+    zc = _take(workspace, "zc", (rows, width + 1))
+    hidden = [_take(workspace, f"r{k}", (rows, width)) for k in range(terms)]
+    buffers = {"hl": hl, "hr": hr, "zc": zc}
+    buffers.update((f"r{k}", r) for k, r in enumerate(hidden))
 
     # Indices are checked above; 'clip' skips the buffered copy that
     # np.take's default 'raise' mode makes of the output.
@@ -296,7 +256,7 @@ def pair_interaction_logits(
     )
 
     if not requires:
-        _release(key, workspace)
+        workspace.update(buffers)
         return result
 
     def backward(grad: np.ndarray) -> None:
@@ -332,7 +292,7 @@ def pair_interaction_logits(
             h_left._accumulate(
                 sparse_backend.scatter_add_rows(left_idx, hr, h_left.data.shape[0])
             )
-        _release(key, workspace)
+        workspace.update(buffers)
 
     result._backward = backward
     return result

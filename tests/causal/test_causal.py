@@ -404,3 +404,50 @@ class TestSuggestGammasMask:
         x, z = cohort.features, np.eye(cohort.medications.shape[1])
         got = suggest_gammas(x, z, quantile=quantile)
         assert _float_bits(got) == _float_bits(_reference_gammas(x, z, quantile))
+
+
+@st.composite
+def shared_distance_inputs(draw):
+    """Grid features with tied distances (m = 2 in range), a quantile, and
+    random treatment and outcome matrices for the links."""
+    px, dx, quantile = draw(gamma_inputs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(px), len(dx))
+    return px, dx, quantile, rng.integers(0, 2, size=shape), rng.integers(0, 2, size=shape)
+
+
+class TestSharedDistances:
+    """Precomputed distance matrices give the self-computing results."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_distance_inputs())
+    def test_precomputed_matrices_match_bitwise(self, case):
+        px, dx, quantile, treatment, outcomes = case
+        dist_p, dist_d = pairwise_distances(px), pairwise_distances(dx)
+        shared = suggest_gammas(px, dx, quantile, dist_p=dist_p, dist_d=dist_d)
+        own = suggest_gammas(px, dx, quantile)
+        assert _float_bits(shared) == _float_bits(own)
+
+        # A zero quantile (all rows tied) is no valid threshold.
+        gamma_p, gamma_d = (g if g > 0 else 1.0 for g in own)
+        got = build_counterfactual_links(
+            px, dx, treatment, outcomes, gamma_p, gamma_d,
+            dist_p=dist_p, dist_d=dist_d,
+        )
+        expected = build_counterfactual_links(
+            px, dx, treatment, outcomes, gamma_p, gamma_d
+        )
+        for name in ("treatment_cf", "outcome_cf", "matched",
+                     "neighbor_patient", "neighbor_drug"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_misshapen_matrix_rejected(self):
+        px, dx = np.zeros((3, 2)), np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            suggest_gammas(px, dx, dist_p=np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            build_counterfactual_links(
+                px, dx, np.zeros((3, 2)), np.zeros((3, 2)), 1.0, 1.0,
+                dist_d=np.zeros((3, 3)),
+            )

@@ -309,8 +309,9 @@ class TestFusedOps:
             pair_interaction_logits(hp, hd, li, ri, np.zeros(extra_shape), mlp)
 
     def test_pair_interaction_logits_workspace_footprint(self, rng):
-        """A 2-term step keeps 5 workspace buffers (hl, hr, zc and one
-        hidden activation per term), and the next step reuses them."""
+        """A 2-term step leaves 5 buffers in the caller's workspace (hl,
+        hr, zc and one hidden activation per term), and the next step
+        reuses them."""
         from repro.nn import MLP, fused
 
         rows, h = 4000, 16
@@ -320,31 +321,63 @@ class TestFusedOps:
         li = rng.integers(0, 50, size=rows)
         ri = rng.integers(0, 10, size=rows)
         extra = rng.integers(0, 2, size=(2, rows)).astype(float)
+        workspace = {}
 
         def step():
-            out = fused.pair_interaction_logits(hp, hd, li, ri, extra, mlp)
+            out = fused.pair_interaction_logits(
+                hp, hd, li, ri, extra, mlp, workspace=workspace
+            )
             out.backward(np.ones((2, rows)))
 
-        def pooled_addresses():
-            return sorted(
-                buf.ctypes.data
-                for stack in fused._POOL.values()
-                for workspace in stack
-                for buf in workspace.values()
-            )
+        def addresses():
+            return sorted(buf.ctypes.data for buf in workspace.values())
 
         five_buffers = 8 * rows * (4 * h + (h + 1))
-        fused.clear_workspaces()
-        try:
-            step()
-            first_bytes = fused._pool_nbytes()
-            first_buffers = pooled_addresses()
-            assert 0 < first_bytes <= five_buffers
-            step()
-            assert fused._pool_nbytes() == first_bytes
-            assert pooled_addresses() == first_buffers
-        finally:
-            fused.clear_workspaces()
+        step()
+        first_bytes = sum(buf.nbytes for buf in workspace.values())
+        first_buffers = addresses()
+        assert len(workspace) <= 5 and 0 < first_bytes <= five_buffers
+        step()
+        assert sum(buf.nbytes for buf in workspace.values()) == first_bytes
+        assert addresses() == first_buffers
+
+    def test_pair_interaction_logits_live_nodes_share_workspace(self, rng):
+        """Two live nodes on one workspace (forward A, forward B, backward
+        B, backward A) match two separate workspaces bitwise: the second
+        node finds the dict empty and allocates its own buffers."""
+        from repro.nn import MLP
+        from repro.nn.fused import pair_interaction_logits
+
+        rows, h = 300, 8
+        mlp = MLP([h + 1, h, 1], rng, activation="relu")
+        hp = Tensor(rng.normal(size=(20, h)), requires_grad=True)
+        hd = Tensor(rng.normal(size=(6, h)), requires_grad=True)
+        params = [hp, hd, *mlp.parameters()]
+        calls = [
+            (rng.integers(0, 20, size=rows), rng.integers(0, 6, size=rows),
+             rng.integers(0, 2, size=(2, rows)).astype(float),
+             rng.normal(size=(2, rows)))
+            for _ in range(2)
+        ]
+
+        def run(workspaces):
+            for p in params:
+                p.zero_grad()
+            a, b = (
+                pair_interaction_logits(hp, hd, li, ri, extra, mlp, workspace=ws)
+                for (li, ri, extra, _), ws in zip(calls, workspaces)
+            )
+            b.backward(calls[1][3])
+            a.backward(calls[0][3])
+            return [a.data, b.data] + [p.grad.copy() for p in params]
+
+        shared = {}
+        # Warm the shared dict so node A takes buffers out of it.
+        run([shared, {}])
+        got = run([shared, shared])
+        expected = run([{}, {}])
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
 
     @pytest.mark.parametrize("side,bad,extra_shape", [
         # 1-D extra keeps the plain "side-bad" ids; 2-D adds "-2d".
