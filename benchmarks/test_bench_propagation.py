@@ -1,4 +1,4 @@
-"""Benchmark: sparse propagation backend + hot-path optimizations.
+"""Benchmark: sparse propagation + hot-path optimizations.
 
 Measures this PR's two speedup claims on a synthetic large cohort
 (m=5000 patients, n=500 drugs, ~1% link density — the regime where the
@@ -18,8 +18,9 @@ patient-drug graph is >99% empty):
   re-encoded the whole training set through the propagation on every
   call.
 
-The sparse and dense backends must agree within 1e-9 on
-``predict_scores`` for identical fitted weights.  Both speedups must be
+The sparse and dense representations (the density rule forced either
+way by the ``representation`` fixture of the root ``conftest.py``) must
+agree within 1e-9 on ``predict_scores`` for identical fitted weights.  Both speedups must be
 >= 3x; those wall-clock floors carry the ``timing`` marker, which the
 default run deselects (``pytest -m timing`` runs them).
 The model uses a deep propagation stack (6 LightGCN layers) so the
@@ -42,8 +43,6 @@ from repro.core import MDGCNConfig, MDModule
 from repro.graph import SignedGraph
 from repro.nn import Adam, Tensor, bce_with_logits, concat, matmul_fixed
 from repro.nn import sparse as sparse_backend
-
-pytest.importorskip("scipy.sparse")
 
 SMOKE = os.environ.get("BENCH_PROP_SMOKE") == "1"
 M, N, DENSITY = (600, 120, 0.03) if SMOKE else (5000, 500, 0.01)
@@ -97,22 +96,25 @@ def cohort():
     return x, y, z, graph
 
 
-def _config(backend: str) -> MDGCNConfig:
+def _config() -> MDGCNConfig:
     return MDGCNConfig(
         epochs=1,
         hidden_dim=HIDDEN,
         num_layers=NUM_LAYERS,
         use_counterfactual=False,
         num_clusters=8,
-        propagation_backend=backend,
         seed=5,
     )
 
 
-def _fitted(cohort, backend: str) -> MDModule:
+def _fitted(cohort, representation, kind: str) -> MDModule:
+    """A module fitted with every matrix built ``kind`` ("dense"/"sparse"),
+    its post-fit treatment factors included."""
     x, y, z, graph = cohort
-    module = MDModule(_config(backend))
-    module.fit(x, y, z, graph, None)
+    module = MDModule(_config())
+    with representation(kind):
+        module.fit(x, y, z, graph, None)
+        module._treatment_factors()
     return module
 
 
@@ -152,7 +154,7 @@ def _epoch_step_new(module: MDModule, cohort):
 
 def _epoch_step_seed(module: MDModule, cohort):
     """One epoch exactly as the seed implemented it: dense adjacencies
-    (the module is fitted with the dense backend), the op-by-op autograd
+    (the module is fitted with dense matrices), the op-by-op autograd
     propagation loop, and the generic gather/concat/MLP decode whose
     backward scatters with ``np.add.at``."""
     x, y, z, _graph = cohort
@@ -220,11 +222,11 @@ def _interleaved_best(steppers, rounds: int):
 
 
 @pytest.fixture(scope="module")
-def fit_speedup(cohort):
+def fit_speedup(cohort, representation):
     """Time one MDGCN fit epoch per arm; record the speedup and return it
     with the dense and sparse modules it was measured on."""
-    dense_module = _fitted(cohort, "dense")
-    sparse_module = _fitted(cohort, "sparse")
+    dense_module = _fitted(cohort, representation, "dense")
+    sparse_module = _fitted(cohort, representation, "sparse")
 
     seed_t, new_dense_t, new_sparse_t = _interleaved_best(
         [
@@ -251,8 +253,8 @@ def fit_speedup(cohort):
 
 
 def test_bench_fit_epoch_speedup(fit_speedup):
-    """MDGCN fit epoch: the timed arms really run on the dense and the
-    sparse propagation backend (the speedup itself is recorded)."""
+    """MDGCN fit epoch: the timed arms really run on dense and on sparse
+    propagation matrices (the speedup itself is recorded)."""
     _speedup, dense_module, sparse_module = fit_speedup
     assert sparse_backend.is_sparse(sparse_module._p2d)
     assert not sparse_backend.is_sparse(dense_module._p2d)
@@ -286,14 +288,16 @@ def _naive_predict(module: MDModule, feats: np.ndarray) -> np.ndarray:
 
 
 @pytest.fixture(scope="module")
-def predict_speedup(cohort):
+def predict_speedup(cohort, representation):
     """Time cached+sparse predict_scores against the seed path; record
     the speedup and return it with the three arms' scores."""
     x, _y, _z, graph = cohort
-    dense_module = _fitted(cohort, "dense")
-    sparse_module = MDModule.from_state(
-        _config("sparse"), dense_module.export_state(), graph
-    )
+    dense_module = _fitted(cohort, representation, "dense")
+    with representation("sparse"):
+        sparse_module = MDModule.from_state(
+            _config(), dense_module.export_state(), graph
+        )
+        sparse_module._treatment_factors()
 
     batch = x[:PREDICT_BATCH]
     naive = _naive_predict(dense_module, batch)
@@ -327,7 +331,7 @@ def predict_speedup(cohort):
 
 def test_bench_predict_speedup_and_equivalence(predict_speedup):
     """Cached+chunked+sparse predict_scores agrees with the seed path —
-    and across backends — within 1e-9; its speedup is recorded."""
+    and across representations — within 1e-9; its speedup is recorded."""
     _speedup, scores, sparse_module = predict_speedup
     assert sparse_backend.is_sparse(sparse_module._p2d)
     np.testing.assert_allclose(scores["fast"], scores["naive"], atol=1e-9)

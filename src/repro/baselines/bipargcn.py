@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph import BipartiteGraph
 from ..nn import Adam, Linear, Tensor, bce_with_logits, concat, gather_rows, matmul_fixed
 from ..gnn import mean_adjacency
 from ..train import PairBatch, PairNegativeSampler, TrainState, Trainer
@@ -29,13 +28,11 @@ class BiparGCN(Recommender):
         epochs: int = 150,
         learning_rate: float = 0.01,
         seed: int = 0,
-        propagation_backend: str = "auto",
     ) -> None:
         self.hidden_dim = hidden_dim
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.seed = seed
-        self.propagation_backend = propagation_backend
         self._fitted = False
 
     def fit(self, features: np.ndarray, medication_use: np.ndarray) -> "BiparGCN":
@@ -58,10 +55,9 @@ class BiparGCN(Recommender):
         self._drug_tower = Linear(2 * hidden, hidden, rng)
 
         # Row-normalized aggregation matrices (mean over neighbours),
-        # dense or CSR per the propagation backend policy.
-        backend = self.propagation_backend
-        self._p_agg = mean_adjacency(y.astype(np.float64), backend)   # (m, n)
-        self._d_agg = mean_adjacency(y.T.astype(np.float64), backend)  # (n, m)
+        # dense or CSR per the density rule.
+        self._p_agg = mean_adjacency(y.astype(np.float64))   # (m, n)
+        self._d_agg = mean_adjacency(y.T.astype(np.float64))  # (n, m)
 
         params = (
             self._patient_in.parameters()

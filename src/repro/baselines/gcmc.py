@@ -30,14 +30,12 @@ class GCMCRecommender(Recommender):
         epochs: int = 150,
         learning_rate: float = 0.01,
         seed: int = 0,
-        propagation_backend: str = "auto",
     ) -> None:
         self.hidden_dim = hidden_dim
         self.out_dim = out_dim
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.seed = seed
-        self.propagation_backend = propagation_backend
         self._fitted = False
 
     def fit(
@@ -62,9 +60,7 @@ class GCMCRecommender(Recommender):
         )
         self._decoder = BilinearDecoder(self.out_dim, rng)
         graph = BipartiteGraph.from_matrix(y)
-        self._channels = [
-            bipartite_propagation(graph, backend=self.propagation_backend)
-        ]
+        self._channels = [bipartite_propagation(graph)]
 
         params = self._encoder.parameters() + self._decoder.parameters()
         x_t = Tensor(x)

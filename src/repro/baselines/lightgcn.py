@@ -34,14 +34,12 @@ class LightGCNRecommender(Recommender):
         epochs: int = 150,
         learning_rate: float = 0.01,
         seed: int = 0,
-        propagation_backend: str = "auto",
     ) -> None:
         self.hidden_dim = hidden_dim
         self.num_layers = num_layers
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.seed = seed
-        self.propagation_backend = propagation_backend
         self._fitted = False
         self._rep_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -64,9 +62,7 @@ class LightGCNRecommender(Recommender):
             self.num_layers, default_layer_weights(self.num_layers)
         )
         graph = BipartiteGraph.from_matrix(y)
-        self._p2d, self._d2p = bipartite_propagation(
-            graph, backend=self.propagation_backend
-        )
+        self._p2d, self._d2p = bipartite_propagation(graph)
 
         params = self._patient_fc.parameters() + self._drug_fc.parameters()
         x_t = Tensor(x)

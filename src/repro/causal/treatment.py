@@ -52,7 +52,6 @@ def build_treatment(
     num_clusters: int,
     seed: int = 0,
     clusters: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
 ) -> TreatmentAssignment:
     """Run the three-step treatment construction.
 
@@ -64,11 +63,6 @@ def build_treatment(
             diseases in the observed data.
         seed: RNG seed for the clustering.
         clusters: pre-computed cluster labels (skips K-means when given).
-        backend: representation policy for the step-3 synergy adjacency
-            ("auto" / "dense" / "sparse"); defaults to the process-wide
-            policy.  Callers pinning a backend (e.g.
-            ``MDGCNConfig.propagation_backend``) pass it through so fit
-            and post-fit derivations use one consistent path.
     """
     features = np.asarray(features, dtype=np.float64)
     y = np.asarray(medication_use)
@@ -99,8 +93,8 @@ def build_treatment(
     stage2 = np.maximum(stage1, cluster_drugs[inverse])
 
     # Step 3: DDI propagation along synergy edges (vectorized scatter;
-    # CSR when the DDI graph is large and sparse enough for the policy).
-    synergy = synergy_adjacency(ddi_graph, backend)
+    # CSR when the DDI graph is large and sparse enough for the density rule).
+    synergy = synergy_adjacency(ddi_graph)
     propagated = sparse_backend.matmul(stage2, synergy) > 0
     matrix = np.maximum(stage2, propagated.astype(np.int64))
 

@@ -8,11 +8,10 @@ hidden size 64, LeakyReLU after the FC layers, 2 MDGCN propagation layers,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 BACKBONES = ("gin", "sgcn", "sigat", "snea")
 DRUG_EMBEDDING_MODES = ("ddigcn", "onehot", "kg", "none")
-PROPAGATION_BACKENDS = ("auto", "dense", "sparse")
 
 
 class _SerializableConfig:
@@ -47,20 +46,12 @@ class DDIGCNConfig(_SerializableConfig):
     learning_rate: float = 0.001
     epochs: int = 400
     zero_edge_ratio: float = 1.0  # sampled "no interaction" edges per real edge
-    # Adjacency representation: "auto" applies the repro.nn.sparse density
-    # policy, "dense"/"sparse" force one path (dense = bitwise seed compat).
-    propagation_backend: str = "auto"
     seed: int = 41
 
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range hyperparameters."""
         if self.backbone not in BACKBONES:
             raise ValueError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
-        if self.propagation_backend not in PROPAGATION_BACKENDS:
-            raise ValueError(
-                f"propagation_backend must be one of {PROPAGATION_BACKENDS}, "
-                f"got {self.propagation_backend!r}"
-            )
         if self.hidden_dim < 2 or self.hidden_dim % 2 != 0:
             raise ValueError("hidden_dim must be an even integer >= 2")
         if self.num_layers < 1:
@@ -86,13 +77,6 @@ class MDGCNConfig(_SerializableConfig):
     gamma_d: Optional[float] = None
     num_clusters: Optional[int] = None  # default: number of chronic diseases
     use_counterfactual: bool = True
-    # Adjacency representation: "auto" applies the repro.nn.sparse density
-    # policy, "dense"/"sparse" force one path (dense = bitwise seed compat).
-    propagation_backend: str = "auto"
-    # Cap on the (patients x drugs) decoder rows of one predict_scores
-    # block: it can only shrink md_module.SCORE_BLOCK_PATIENTS (to four
-    # patients at the least), and scores are the same for every value.
-    score_chunk_rows: int = 262144
     seed: int = 43
 
     def validate(self) -> None:
@@ -112,13 +96,6 @@ class MDGCNConfig(_SerializableConfig):
             raise ValueError("delta must be >= 0")
         if not 0.0 < self.gamma_quantile < 1.0:
             raise ValueError("gamma_quantile must be in (0, 1)")
-        if self.propagation_backend not in PROPAGATION_BACKENDS:
-            raise ValueError(
-                f"propagation_backend must be one of {PROPAGATION_BACKENDS}, "
-                f"got {self.propagation_backend!r}"
-            )
-        if self.score_chunk_rows < 1:
-            raise ValueError("score_chunk_rows must be >= 1")
 
 
 @dataclass
@@ -293,6 +270,29 @@ class ServerConfig(_SerializableConfig):
             raise ValueError("trace_ring must be >= 1")
 
 
+def _drop_retired(section: str, data: Dict[str, Any]) -> Dict[str, Any]:
+    """``data`` without the keys that configs saved by older builds carry.
+
+    ``propagation_backend`` (``ddi`` and ``md``) once forced a dense or
+    CSR representation; the density rule of :mod:`repro.nn.sparse` now
+    decides alone, so only ``"auto"`` loads.  Any other value is refused,
+    because loading it under the density rule could change the bits of
+    the fit it describes.  ``score_chunk_rows`` (``md``) never changed
+    a score and is dropped whatever its value.
+    """
+    if section not in ("ddi", "md"):
+        return data
+    data = dict(data)
+    backend = data.pop("propagation_backend", "auto")
+    if backend != "auto":
+        raise ValueError(
+            f"{section}.propagation_backend={backend!r} is no longer supported: "
+            f"the density rule of repro.nn.sparse picks every representation"
+        )
+    data.pop("score_chunk_rows", None)
+    return data
+
+
 @dataclass
 class DSSDDIConfig:
     """Top-level configuration bundling the three modules plus serving.
@@ -328,15 +328,16 @@ class DSSDDIConfig:
         """Rebuild from :meth:`to_dict` output.
 
         The ``serving`` section is optional so artifacts written before it
-        existed keep loading with default serving knobs.
+        existed keep loading with default serving knobs.  Retired keys of
+        older configs are handled by :func:`_drop_retired`.
         """
         known = {"ddi", "md", "ms", "serving"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown DSSDDIConfig sections: {sorted(unknown)}")
         return cls(
-            ddi=DDIGCNConfig.from_dict(data.get("ddi", {})),
-            md=MDGCNConfig.from_dict(data.get("md", {})),
+            ddi=DDIGCNConfig.from_dict(_drop_retired("ddi", data.get("ddi", {}))),
+            md=MDGCNConfig.from_dict(_drop_retired("md", data.get("md", {}))),
             ms=MSConfig.from_dict(data.get("ms", {})),
             serving=ServingConfig.from_dict(data.get("serving", {})),
         )

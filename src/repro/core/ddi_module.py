@@ -127,15 +127,11 @@ class DDIModule:
         cfg = self.config
         n = graph.num_nodes
         if cfg.backbone == "gin":
-            adjacency = interaction_mean_adjacency(
-                graph, include_zero=True, backend=cfg.propagation_backend
-            )
+            adjacency = interaction_mean_adjacency(graph, include_zero=True)
             encoder = GINEncoder(n, cfg.hidden_dim, cfg.num_layers, rng)
             return encoder, lambda x: encoder(x, adjacency)
         if cfg.backbone == "sgcn":
-            pos, neg = signed_mean_adjacencies(
-                graph, backend=cfg.propagation_backend
-            )
+            pos, neg = signed_mean_adjacencies(graph)
             encoder = SGCNEncoder(n, cfg.hidden_dim, cfg.num_layers, rng)
             return encoder, lambda x: encoder(x, pos, neg)
         if cfg.backbone == "sigat":

@@ -235,8 +235,7 @@ class MDModule:
         k = max(1, min(k, m))
         self._kmeans: KMeansResult = kmeans(x, k, seed=cfg.seed)
         assignment = build_treatment(
-            x, y, ddi_graph, k, seed=cfg.seed, clusters=self._kmeans.labels,
-            backend=cfg.propagation_backend,
+            x, y, ddi_graph, k, seed=cfg.seed, clusters=self._kmeans.labels
         )
         self._treatment = assignment.matrix
 
@@ -285,9 +284,7 @@ class MDModule:
         )
 
         graph = BipartiteGraph.from_matrix(y)
-        self._p2d, self._d2p = bipartite_propagation(
-            graph, backend=cfg.propagation_backend
-        )
+        self._p2d, self._d2p = bipartite_propagation(graph)
 
         params = (
             self._patient_fc.parameters()
@@ -434,7 +431,7 @@ class MDModule:
 
         Returns the per-cluster drug exposure (K, n) from the observed
         data and the (n, n) synergy adjacency (dense, or CSR when the
-        configured propagation backend selects sparse).  Both are pure
+        density rule selects sparse).  Both are pure
         functions of the fitted state, so they are computed once and
         reused by every ``treatment_for`` / ``predict_scores`` call and
         shared with :meth:`scoring_state` so the serving path derives
@@ -445,9 +442,7 @@ class MDModule:
             k = self._kmeans.centers.shape[0]
             cluster_drugs = np.zeros((k, n), dtype=np.int64)
             np.maximum.at(cluster_drugs, self._kmeans.labels, self._y_train)
-            synergy = synergy_adjacency(
-                self._ddi_graph, self.config.propagation_backend
-            )
+            synergy = synergy_adjacency(self._ddi_graph)
             self._factor_cache = (cluster_drugs, synergy)
         return self._factor_cache
 
@@ -466,25 +461,19 @@ class MDModule:
             self._drug_reps_cache = h_drugs.numpy()
         return self._drug_reps_cache
 
-    def predict_scores(
-        self, patient_features: np.ndarray, chunk_rows: Optional[int] = None
-    ) -> np.ndarray:
+    def predict_scores(self, patient_features: np.ndarray) -> np.ndarray:
         """Suggestion scores for every drug, per patient (sigmoid probs).
 
         Uses the cached post-training drug representations (no re-encode
-        of the training set) and :func:`score_all_drugs`.  ``chunk_rows``
-        (default ``config.score_chunk_rows``) caps one block's decoder
-        rows; it can only shrink the block, and never changes the scores.
+        of the training set) and :func:`score_all_drugs` in blocks of
+        ``SCORE_BLOCK_PATIENTS``.
         """
         self._require_fitted()
         x = np.asarray(patient_features, dtype=np.float64)
         treatment = self.treatment_for(x)
         h_new = self._patient_fc(Tensor(x)).leaky_relu().numpy()
-        chunk_rows = chunk_rows or self.config.score_chunk_rows
-        block = min(SCORE_BLOCK_PATIENTS, chunk_rows // self._y_train.shape[1])
         return score_all_drugs(
-            h_new, self._fitted_drug_reps(), treatment, *self._decoder_params(),
-            block=block,
+            h_new, self._fitted_drug_reps(), treatment, *self._decoder_params()
         )
 
     # ------------------------------------------------------------------
@@ -599,9 +588,7 @@ class MDModule:
             )
 
         graph = BipartiteGraph.from_matrix(module._y_train)
-        module._p2d, module._d2p = bipartite_propagation(
-            graph, backend=cfg.propagation_backend
-        )
+        module._p2d, module._d2p = bipartite_propagation(graph)
         module._fitted = True
         return module
 
@@ -631,9 +618,9 @@ class MDModule:
         * ``cluster_drugs``: per-cluster drug exposure (K, n) from the
           observed data, and ``synergy``: the (n, n) synergy adjacency —
           the two fixed factors of :meth:`treatment_for`, served straight
-          from the post-fit cache.  ``synergy`` is CSR when the
-          configured propagation backend selects sparse, so serving-time
-          treatment derivation shares the same fast path.
+          from the post-fit cache.  ``synergy`` is CSR when the density
+          rule selects sparse, so serving-time treatment derivation
+          shares the same fast path.
         """
         self._require_fitted()
         cluster_drugs, synergy = self._treatment_factors()

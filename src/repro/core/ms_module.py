@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph import CTCResult, SignedGraph, closest_truss_community
-from ..metrics import SatisfactionBreakdown, suggestion_satisfaction
+from ..metrics import SatisfactionBreakdown, suggestion_pairs
 from .config import MSConfig
 
 
@@ -136,38 +136,15 @@ class MSModule:
         """
         suggested = list(canonical_suggestion(suggested))
         community = self.query_subgraph(suggested)
-        if community is None:
-            members = set(suggested)
-            for s in suggested:
-                members.update(self.ddi.neighbors(s))
-            member_list = sorted(members)
-        else:
-            member_list = sorted(set(community.nodes) | set(suggested))
-
-        suggested_set = set(suggested)
-        synergy_within: List[Tuple[int, int]] = []
-        antagonism_within: List[Tuple[int, int]] = []
-        antagonism_avoided: List[Tuple[int, int]] = []
-        for idx, u in enumerate(member_list):
-            for v in member_list[idx + 1 :]:
-                sign = self.ddi.sign_or_none(u, v)
-                if sign is None or sign == 0:
-                    continue
-                u_in, v_in = u in suggested_set, v in suggested_set
-                if u_in and v_in:
-                    (synergy_within if sign == 1 else antagonism_within).append((u, v))
-                elif u_in != v_in and sign == -1:
-                    antagonism_avoided.append((u, v))
-
-        satisfaction = suggestion_satisfaction(
-            self.ddi, suggested, alpha=self.config.alpha, subgraph_nodes=member_list
+        pairs = suggestion_pairs(
+            self.ddi, suggested, None if community is None else community.nodes
         )
         return Explanation(
             suggested=suggested,
-            community=member_list,
-            synergy_within=synergy_within,
-            antagonism_within=antagonism_within,
-            antagonism_avoided=antagonism_avoided,
-            satisfaction=satisfaction,
+            community=pairs.members,
+            synergy_within=pairs.synergy_within,
+            antagonism_within=pairs.antagonism_within,
+            antagonism_avoided=pairs.antagonism_avoided,
+            satisfaction=pairs.satisfaction(self.config.alpha),
             drug_names=drug_names if drug_names is not None else self.drug_names,
         )

@@ -7,10 +7,7 @@ representation is chosen by the density-threshold policy of
 patient-drug bipartite graph at realistic cohort sizes is >99% sparse)
 come back as ``scipy.sparse`` CSR matrices, while small or dense graphs
 (the 86-drug DDI graph of the paper's experiments) keep the seed's dense
-arrays with bitwise-identical arithmetic.  Each helper accepts a
-``backend`` override ("auto" / "dense" / "sparse") so bitwise-compat
-runs can pin the dense path; the process-wide default is managed by
-``repro.nn.sparse.set_backend`` / ``use_backend``.
+arrays with bitwise-identical arithmetic.
 
 The per-edge construction is vectorized throughout: edge lists are
 extracted once as arrays (:meth:`repro.graph.SignedGraph.edge_arrays`)
@@ -19,7 +16,7 @@ and scattered with fancy indexing instead of Python loops.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -38,15 +35,14 @@ def _binary_adjacency(
     shape: Tuple[int, int],
     rows: np.ndarray,
     cols: np.ndarray,
-    backend: Optional[str],
 ):
-    """0/1 adjacency from entry arrays, dense or CSR per the policy.
+    """0/1 adjacency from entry arrays, dense or CSR per the density rule.
 
     ``(rows, cols)`` pairs are assumed unique (simple graphs), so the
     CSR duplicate-summing build yields the same 0/1 values as the dense
     scatter.
     """
-    if sparse_backend.should_sparsify(shape, len(rows), backend):
+    if sparse_backend.should_sparsify(shape, len(rows)):
         return sparse_backend.csr_from_entries(
             shape, rows, cols, np.ones(len(rows))
         )
@@ -55,32 +51,29 @@ def _binary_adjacency(
     return mat
 
 
-def mean_adjacency(adjacency, backend: Optional[str] = None):
+def mean_adjacency(adjacency):
     """Row-normalize a 0/1 adjacency: ``M[i, j] = A[i, j] / deg(i)``.
 
     Rows with zero degree stay zero (isolated nodes aggregate nothing).
     Accepts dense or CSR input; the output representation follows the
-    backend policy (dense input only converts when the policy selects
-    sparse, and vice versa).
+    density rule of the normalized matrix.
     """
     if sparse_backend.is_sparse(adjacency):
         adjacency = adjacency.tocsr()
         degree = np.asarray(adjacency.sum(axis=1)).ravel()
         scale = np.divide(1.0, degree, out=np.zeros_like(degree), where=degree > 0)
         normalized = adjacency.multiply(scale[:, None]).tocsr()
-        return sparse_backend.maybe_sparse(normalized, backend)
+        return sparse_backend.maybe_sparse(normalized)
     adjacency = np.asarray(adjacency, dtype=np.float64)
     degree = adjacency.sum(axis=1)
     scale = np.divide(1.0, degree, out=np.zeros_like(degree), where=degree > 0)
-    return sparse_backend.maybe_sparse(adjacency * scale[:, None], backend)
+    return sparse_backend.maybe_sparse(adjacency * scale[:, None])
 
 
-def symmetric_adjacency(
-    adjacency, self_loops: bool = False, backend: Optional[str] = None
-):
+def symmetric_adjacency(adjacency, self_loops: bool = False):
     """GCN-style D^-1/2 (A [+ I]) D^-1/2 normalization.
 
-    Dense or CSR input, output per the backend policy (see module docs).
+    Dense or CSR input, output per the density rule (see module docs).
     """
     if sparse_backend.is_sparse(adjacency):
         adjacency = adjacency.tocsr()
@@ -95,7 +88,7 @@ def symmetric_adjacency(
         normalized = (
             adjacency.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :]).tocsr()
         )
-        return sparse_backend.maybe_sparse(normalized, backend)
+        return sparse_backend.maybe_sparse(normalized)
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if self_loops:
         adjacency = adjacency + np.eye(adjacency.shape[0])
@@ -104,32 +97,30 @@ def symmetric_adjacency(
         1.0, np.sqrt(degree), out=np.zeros_like(degree), where=degree > 0
     )
     return sparse_backend.maybe_sparse(
-        adjacency * inv_sqrt[:, None] * inv_sqrt[None, :], backend
+        adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
     )
 
 
-def signed_mean_adjacencies(graph: SignedGraph, backend: Optional[str] = None):
+def signed_mean_adjacencies(graph: SignedGraph):
     """Row-normalized positive and negative adjacencies (B_v and U_v paths).
 
-    Returns ``(positive, negative)``, each dense or CSR per the policy.
+    Returns ``(positive, negative)``, each dense or CSR per the density rule.
     """
     u, v, signs = graph.edge_arrays()
     n = graph.num_nodes
     pos_rows, pos_cols = _undirected_entries(u[signs > 0], v[signs > 0])
     neg_rows, neg_cols = _undirected_entries(u[signs < 0], v[signs < 0])
-    positive = _binary_adjacency((n, n), pos_rows, pos_cols, backend)
-    negative = _binary_adjacency((n, n), neg_rows, neg_cols, backend)
-    return mean_adjacency(positive, backend), mean_adjacency(negative, backend)
+    positive = _binary_adjacency((n, n), pos_rows, pos_cols)
+    negative = _binary_adjacency((n, n), neg_rows, neg_cols)
+    return mean_adjacency(positive), mean_adjacency(negative)
 
 
-def interaction_mean_adjacency(
-    graph: SignedGraph, include_zero: bool = True, backend: Optional[str] = None
-):
+def interaction_mean_adjacency(graph: SignedGraph, include_zero: bool = True):
     """Row-normalized adjacency over *all* interactions.
 
     The paper's GIN backbone aggregates over N_v = drugs that have any
     interaction with v, including the sampled "no interaction" (0) edges
-    when ``include_zero`` is set.  Dense or CSR per the backend policy.
+    when ``include_zero`` is set.  Dense or CSR per the density rule.
     """
     u, v, signs = graph.edge_arrays()
     if not include_zero:
@@ -137,33 +128,33 @@ def interaction_mean_adjacency(
         u, v = u[keep], v[keep]
     rows, cols = _undirected_entries(u, v)
     n = graph.num_nodes
-    return mean_adjacency(_binary_adjacency((n, n), rows, cols, backend), backend)
+    return mean_adjacency(_binary_adjacency((n, n), rows, cols))
 
 
-def synergy_adjacency(graph: SignedGraph, backend: Optional[str] = None):
+def synergy_adjacency(graph: SignedGraph):
     """0/1 adjacency over the synergy (+1) edges, both orientations.
 
     The fixed factor of the treatment derivation (Sec. IV-B1 step 3),
     shared by fit-time :func:`repro.causal.build_treatment` and the
     post-fit cache behind ``MDModule.treatment_for`` / serving — one
-    construction site so the representation policy cannot diverge
-    between them.  Dense or CSR per the backend policy.
+    construction site so the representation cannot diverge between
+    them.  Dense or CSR per the density rule.
     """
     u, v, signs = graph.edge_arrays()
     pos = signs == 1
     rows, cols = _undirected_entries(u[pos], v[pos])
     n = graph.num_nodes
-    return _binary_adjacency((n, n), rows, cols, backend)
+    return _binary_adjacency((n, n), rows, cols)
 
 
-def bipartite_propagation(graph: BipartiteGraph, backend: Optional[str] = None):
+def bipartite_propagation(graph: BipartiteGraph):
     """Symmetric-normalized patient->drug and drug->patient matrices.
 
     Delegates to :meth:`repro.graph.BipartiteGraph.normalized_adjacency`;
-    both matrices are CSR when the link density falls below the policy
-    threshold, dense otherwise.
+    both matrices are CSR when the density rule selects sparse, dense
+    otherwise.
     """
-    return graph.normalized_adjacency(backend=backend)
+    return graph.normalized_adjacency()
 
 
 def signed_edge_arrays(graph: SignedGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ All structures use contiguous integer node ids (0..n-1) and canonical
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -336,20 +336,18 @@ class BipartiteGraph:
         size = self.num_patients * self.num_drugs
         return self.num_links / size if size else 0.0
 
-    def normalized_adjacency(self, backend: Optional[str] = None):
+    def normalized_adjacency(self):
         """Symmetric-normalized propagation matrices for MDGCN (Eq. 11-12).
 
         Returns ``(P2D, D2P)`` where ``P2D[i, v] = 1/sqrt(|N_i||N_v|)`` for a
         link between patient i and drug v.  ``P2D @ drug_features`` updates
         patients; ``D2P = P2D.T`` updates drugs.
 
-        The representation follows the density-threshold policy of
-        :mod:`repro.nn.sparse`: large graphs whose link density is below
-        the configured threshold come back as ``scipy.sparse`` CSR
-        matrices (built directly from the link arrays, never densified);
+        The representation follows the density rule of
+        :mod:`repro.nn.sparse`: large graphs whose link density is at
+        most the threshold come back as ``scipy.sparse`` CSR matrices
+        (built directly from the link arrays, never densified);
         everything else keeps the seed's dense arithmetic bitwise.
-        ``backend`` overrides the process-wide policy per call
-        ("auto" / "dense" / "sparse").
         """
         from ..nn import sparse as sparse_backend
 
@@ -361,7 +359,7 @@ class BipartiteGraph:
         np.add.at(drug_deg, drugs, 1.0)
         patient_deg = np.maximum(patient_deg, 1.0)
         drug_deg = np.maximum(drug_deg, 1.0)
-        if sparse_backend.should_sparsify(shape, len(patients), backend):
+        if sparse_backend.should_sparsify(shape, len(patients)):
             data = 1.0 / np.sqrt(patient_deg)[patients] / np.sqrt(drug_deg)[drugs]
             norm = sparse_backend.csr_from_entries(shape, patients, drugs, data)
             return norm, norm.T.tocsr()

@@ -10,7 +10,9 @@ from .ranking import (
 )
 from .satisfaction import (
     SatisfactionBreakdown,
+    SuggestionPairs,
     mean_satisfaction_at_k,
+    suggestion_pairs,
     suggestion_satisfaction,
 )
 from .similarity import cosine_similarity_matrix, offdiagonal_mean, smoothing_report
@@ -23,8 +25,10 @@ __all__ = [
     "RankingReport",
     "ranking_report",
     "suggestion_satisfaction",
+    "suggestion_pairs",
     "mean_satisfaction_at_k",
     "SatisfactionBreakdown",
+    "SuggestionPairs",
     "cosine_similarity_matrix",
     "offdiagonal_mean",
     "smoothing_report",

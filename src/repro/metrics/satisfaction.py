@@ -17,7 +17,7 @@ Larger SS means a more coherent, safer suggestion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,97 @@ class SatisfactionBreakdown:
     k: int
 
 
+Pair = Tuple[int, int]
+
+
+@dataclass
+class SuggestionPairs:
+    """The signed pairs of a suggestion's community, classified once.
+
+    ``members`` is the community plus the suggested drugs, sorted; each
+    list holds ``(u, v)`` pairs with ``u < v`` in member order.  Both the
+    SS value (Eq. 19) and the MS module's explanation read these lists.
+    """
+
+    suggested: List[int]
+    members: List[int]
+    synergy_within: List[Pair]
+    antagonism_within: List[Pair]
+    antagonism_avoided: List[Pair]
+
+    def satisfaction(self, alpha: float = 0.5) -> SatisfactionBreakdown:
+        """Eq. 19 from the pair counts."""
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
+        k, n_prime = len(self.suggested), len(self.members)
+        r_in_pos = len(self.synergy_within)
+        r_in_neg = len(self.antagonism_within)
+        r_out_neg = len(self.antagonism_avoided)
+        synergy_term = 2.0 * (r_in_pos + 1) / ((r_in_neg + 1) * (k * (k - 1) + 2))
+        if n_prime > k:
+            antagonism_term = r_out_neg / (k * (n_prime - k))
+        else:
+            antagonism_term = 0.0
+        return SatisfactionBreakdown(
+            value=alpha * synergy_term + (1.0 - alpha) * antagonism_term,
+            r_in_pos=r_in_pos,
+            r_in_neg=r_in_neg,
+            r_out_neg=r_out_neg,
+            subgraph_nodes=n_prime,
+            k=k,
+        )
+
+
+def _checked_suggestion(ddi: SignedGraph, suggested: Sequence[int]) -> List[int]:
+    """Sorted, duplicate-free drug ids; raises on an empty or out-of-range one."""
+    suggested = sorted(set(int(s) for s in suggested))
+    if not suggested:
+        raise ValueError("need at least one suggested drug")
+    for s in suggested:
+        if not 0 <= s < ddi.num_nodes:
+            raise IndexError(f"drug {s} out of range")
+    return suggested
+
+
+def suggestion_pairs(
+    ddi: SignedGraph,
+    suggested: Sequence[int],
+    community: Optional[Sequence[int]],
+) -> SuggestionPairs:
+    """Classify every signed pair among a suggestion's community members.
+
+    ``community`` holds the closest-dense-subgraph nodes; ``None`` marks a
+    disconnected suggestion (Algorithm 1 found no community), whose
+    members fall back to the suggested drugs and their direct DDI
+    neighbours.  Pairs inside the suggestion count as synergy or
+    antagonism within it; antagonistic pairs with one non-suggested
+    member count as avoided antagonism.
+    """
+    suggested = _checked_suggestion(ddi, suggested)
+    members = set(suggested)
+    if community is None:
+        for s in suggested:
+            members.update(ddi.neighbors(s))
+    else:
+        members.update(int(x) for x in community)
+    members = sorted(members)
+
+    suggested_set = set(suggested)
+    pairs = SuggestionPairs(suggested, members, [], [], [])
+    for idx, u in enumerate(members):
+        for v in members[idx + 1 :]:
+            sign = ddi.sign_or_none(u, v)
+            if sign is None or sign == 0:
+                continue
+            u_in, v_in = u in suggested_set, v in suggested_set
+            if u_in and v_in:
+                within = pairs.synergy_within if sign == 1 else pairs.antagonism_within
+                within.append((u, v))
+            elif u_in != v_in and sign == -1:
+                pairs.antagonism_avoided.append((u, v))
+    return pairs
+
+
 def suggestion_satisfaction(
     ddi: SignedGraph,
     suggested: Sequence[int],
@@ -52,63 +143,11 @@ def suggestion_satisfaction(
         subgraph_nodes: the closest-dense-subgraph members; computed via
             :func:`repro.graph.closest_truss_community` when omitted.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    suggested = sorted(set(int(s) for s in suggested))
-    k = len(suggested)
-    if k == 0:
-        raise ValueError("need at least one suggested drug")
-    for s in suggested:
-        if not 0 <= s < ddi.num_nodes:
-            raise IndexError(f"drug {s} out of range")
-
+    suggested = _checked_suggestion(ddi, suggested)
     if subgraph_nodes is None:
         community = closest_truss_community(ddi.to_unsigned(), suggested)
-        if community is None:
-            # Disconnected suggestion: fall back to the union of the
-            # suggested drugs and their direct DDI neighbours.
-            members = set(suggested)
-            for s in suggested:
-                members.update(ddi.neighbors(s))
-            subgraph_nodes = sorted(members)
-        else:
-            subgraph_nodes = community.nodes
-    members = sorted(set(int(x) for x in subgraph_nodes) | set(suggested))
-    n_prime = len(members)
-
-    suggested_set = set(suggested)
-    r_in_pos = 0
-    r_in_neg = 0
-    r_out_neg = 0
-    for idx, u in enumerate(members):
-        for v in members[idx + 1 :]:
-            sign = ddi.sign_or_none(u, v)
-            if sign is None or sign == 0:
-                continue
-            u_in = u in suggested_set
-            v_in = v in suggested_set
-            if u_in and v_in:
-                if sign == 1:
-                    r_in_pos += 1
-                else:
-                    r_in_neg += 1
-            elif u_in != v_in and sign == -1:
-                r_out_neg += 1
-
-    synergy_term = 2.0 * (r_in_pos + 1) / ((r_in_neg + 1) * (k * (k - 1) + 2))
-    if n_prime > k:
-        antagonism_term = r_out_neg / (k * (n_prime - k))
-    else:
-        antagonism_term = 0.0
-    value = alpha * synergy_term + (1.0 - alpha) * antagonism_term
-    return SatisfactionBreakdown(
-        value=value,
-        r_in_pos=r_in_pos,
-        r_in_neg=r_in_neg,
-        r_out_neg=r_out_neg,
-        subgraph_nodes=n_prime,
-        k=k,
-    )
+        subgraph_nodes = None if community is None else community.nodes
+    return suggestion_pairs(ddi, suggested, subgraph_nodes).satisfaction(alpha)
 
 
 def mean_satisfaction_at_k(

@@ -3,8 +3,8 @@
 The DSSDDI paper's models were implemented in PyTorch; this package provides
 an equivalent, dependency-free substrate so that the full system can run in
 this environment.  See ``repro.nn.tensor`` for the autograd engine,
-``repro.nn.sparse`` for the optional scipy-backed CSR propagation backend
-(everything degrades to dense when scipy is absent), ``repro.nn.fused``
+``repro.nn.sparse`` for the density rule that stores large, mostly empty
+propagation matrices as scipy CSR, ``repro.nn.fused``
 for the fused training hot-path ops, and ``repro.nn.functional`` for the
 plain-array activations that autograd and inference share.
 """

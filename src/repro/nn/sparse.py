@@ -1,118 +1,41 @@
-"""CSR propagation backend: policy, builders and sparse-aware products.
+"""CSR propagation: the density rule, CSR construction and sparse-aware products.
 
 The GNN propagations in this codebase multiply by *fixed* normalized
 adjacencies (patient-drug, DDI).  At realistic cohort sizes those
 matrices are >99% empty, so storing and multiplying them densely wastes
-both memory and time.  This module centralizes the backend decision:
+both memory and time.  One rule chooses each matrix's representation:
 
-* ``should_sparsify(shape, nnz)`` implements the selection policy — a
-  matrix goes CSR when (a) scipy is importable, (b) it is large enough
-  that sparse bookkeeping pays off (``min_size`` elements), and (c) its
-  density is below ``density_threshold``.  Small or dense matrices keep
-  the dense path, whose arithmetic is bitwise identical to the seed
-  implementation.
-* ``set_backend`` / ``use_backend`` override the policy globally
-  (``"dense"`` forces dense everywhere for bitwise-compat runs,
-  ``"sparse"`` forces CSR, ``"auto"`` applies the density rule).  The
-  per-module configs (:class:`repro.core.config.MDGCNConfig` and
-  ``DDIGCNConfig``) carry a ``propagation_backend`` field that is passed
-  down to the adjacency producers, so a single run can mix policies.
+* ``should_sparsify(shape, nnz)`` — a matrix goes CSR when it is large
+  enough that sparse bookkeeping pays off (``MIN_SIZE`` elements) and
+  its density is at most ``DENSITY_THRESHOLD``.  Small or dense matrices
+  keep the dense path, whose arithmetic is bitwise identical to the seed
+  implementation.  Nothing overrides the rule: every adjacency function
+  in :mod:`repro.gnn.propagation` and
+  ``BipartiteGraph.normalized_adjacency`` apply it to what they build.
 * ``matmul`` multiplies mixed dense/CSR operands and always returns a
   dense ``ndarray``, which is what the autograd engine stores.
-
-scipy is an optional dependency: when it is missing every policy
-resolves to dense and the system keeps working exactly as before.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
+from scipy import sparse as _scipy_sparse
 
-try:  # pragma: no cover - exercised implicitly by every import
-    from scipy import sparse as _scipy_sparse
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - CI images without scipy
-    _scipy_sparse = None
-    HAVE_SCIPY = False
-
-BACKENDS = ("auto", "dense", "sparse")
-
-#: Density below which a sufficiently large matrix is stored as CSR.
-DEFAULT_DENSITY_THRESHOLD = 0.05
+#: Density at or below which a sufficiently large matrix is stored as CSR.
+DENSITY_THRESHOLD = 0.05
 #: Matrices with fewer elements than this always stay dense: at small
 #: sizes the dense BLAS path wins and, more importantly, the seed test
 #: suite (small graphs throughout) keeps its exact numerics.
-DEFAULT_MIN_SIZE = 32768
+MIN_SIZE = 32768
 
-_backend = "auto"
-_density_threshold = DEFAULT_DENSITY_THRESHOLD
-_min_size = DEFAULT_MIN_SIZE
-
-Matrix = Union[np.ndarray, "_scipy_sparse.spmatrix"]
-
-
-def _check_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    return backend
-
-
-def get_backend() -> str:
-    """The process-wide backend policy ("auto", "dense" or "sparse")."""
-    return _backend
-
-
-def set_backend(backend: str) -> None:
-    """Set the process-wide backend policy."""
-    global _backend
-    _backend = _check_backend(backend)
-
-
-@contextmanager
-def use_backend(backend: str) -> Iterator[None]:
-    """Temporarily force a backend policy (tests, bitwise-compat runs)."""
-    global _backend
-    previous = _backend
-    _backend = _check_backend(backend)
-    try:
-        yield
-    finally:
-        _backend = previous
-
-
-def get_density_threshold() -> float:
-    """The current density cut-off of the auto policy."""
-    return _density_threshold
-
-
-def set_density_threshold(threshold: float, min_size: Optional[int] = None) -> None:
-    """Tune the auto policy: density cut-off and optional size floor."""
-    global _density_threshold, _min_size
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("density threshold must be in [0, 1]")
-    _density_threshold = float(threshold)
-    if min_size is not None:
-        if min_size < 0:
-            raise ValueError("min_size must be non-negative")
-        _min_size = int(min_size)
+Matrix = Union[np.ndarray, _scipy_sparse.spmatrix]
 
 
 def is_sparse(x: object) -> bool:
     """True when ``x`` is a scipy sparse matrix/array."""
-    return HAVE_SCIPY and _scipy_sparse.issparse(x)
-
-
-def density(x: Matrix) -> float:
-    """Fraction of stored/non-zero entries; 0.0 for empty matrices."""
-    if is_sparse(x):
-        size = x.shape[0] * x.shape[1]
-        return x.nnz / size if size else 0.0
-    arr = np.asarray(x)
-    return float(np.count_nonzero(arr)) / arr.size if arr.size else 0.0
+    return _scipy_sparse.issparse(x)
 
 
 def to_dense(x: Matrix) -> np.ndarray:
@@ -122,43 +45,32 @@ def to_dense(x: Matrix) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def as_csr(x: Matrix) -> "_scipy_sparse.csr_matrix":
-    """Convert dense or sparse input to CSR (requires scipy)."""
-    if not HAVE_SCIPY:
-        raise RuntimeError("scipy is not available; cannot build CSR matrices")
+def as_csr(x: Matrix) -> _scipy_sparse.csr_matrix:
+    """Convert dense or sparse input to CSR."""
     if is_sparse(x):
         return x.tocsr()
     return _scipy_sparse.csr_matrix(np.asarray(x, dtype=np.float64))
 
 
-def should_sparsify(
-    shape: Tuple[int, int], nnz: int, backend: Optional[str] = None
-) -> bool:
-    """Apply the backend policy to a matrix of ``shape`` with ``nnz`` entries."""
-    backend = _check_backend(backend or _backend)
-    if not HAVE_SCIPY or backend == "dense":
-        return False
-    if backend == "sparse":
-        return True
+def should_sparsify(shape: Tuple[int, int], nnz: int) -> bool:
+    """The density rule for a matrix of ``shape`` with ``nnz`` entries."""
     size = shape[0] * shape[1]
-    if size < _min_size:
-        return False
-    return nnz <= _density_threshold * size
+    return size >= MIN_SIZE and nnz <= DENSITY_THRESHOLD * size
 
 
-def maybe_sparse(mat: Matrix, backend: Optional[str] = None) -> Matrix:
-    """Return ``mat`` in the representation the policy selects.
+def maybe_sparse(mat: Matrix) -> Matrix:
+    """Return ``mat`` in the representation the density rule selects.
 
     Dense input is converted to CSR only when :func:`should_sparsify`
-    says so; sparse input is densified when the policy resolves to
-    dense.  The dense values are preserved exactly either way.
+    says so; sparse input is densified when the rule says dense.  The
+    dense values are preserved exactly either way.
     """
     if is_sparse(mat):
-        if should_sparsify(mat.shape, mat.nnz, backend):
+        if should_sparsify(mat.shape, mat.nnz):
             return mat.tocsr()
         return to_dense(mat)
     arr = np.asarray(mat, dtype=np.float64)
-    if arr.ndim == 2 and should_sparsify(arr.shape, int(np.count_nonzero(arr)), backend):
+    if arr.ndim == 2 and should_sparsify(arr.shape, int(np.count_nonzero(arr))):
         return _scipy_sparse.csr_matrix(arr)
     return arr
 
@@ -168,10 +80,8 @@ def csr_from_entries(
     rows: np.ndarray,
     cols: np.ndarray,
     data: np.ndarray,
-) -> "_scipy_sparse.csr_matrix":
+) -> _scipy_sparse.csr_matrix:
     """Build a CSR matrix from COO-style entry arrays (duplicates summed)."""
-    if not HAVE_SCIPY:
-        raise RuntimeError("scipy is not available; cannot build CSR matrices")
     return _scipy_sparse.csr_matrix(
         (np.asarray(data, dtype=np.float64), (rows, cols)), shape=shape
     )
@@ -197,11 +107,7 @@ def scatter_add_rows(
     """
     index = np.asarray(index, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    if (
-        HAVE_SCIPY
-        and values.ndim == 2
-        and len(index) >= SCATTER_SPARSE_MIN_ROWS
-    ):
+    if values.ndim == 2 and len(index) >= SCATTER_SPARSE_MIN_ROWS:
         selector = _scipy_sparse.csr_matrix(
             (np.ones(len(index)), (index, np.arange(len(index)))),
             shape=(num_rows, len(index)),

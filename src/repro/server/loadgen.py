@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import os
 import queue
 import random
 import socket
@@ -56,8 +57,10 @@ import numpy as np
 
 from .resilience import backoff_delay
 
-#: Where the bench report lands unless --output overrides it.
-DEFAULT_REPORT = "BENCH_server.json"
+#: The conventional report path (relative to the repo root): under the
+#: gitignored ``.benchmarks/``, next to the benchmark suite's reports, so
+#: a load run never rewrites a tracked file.
+DEFAULT_REPORT = ".benchmarks/BENCH_server.json"
 
 #: Statuses worth retrying: transport failure, throttled, unavailable.
 #: 503 carries the gateway's Retry-After hint (shed queue, open breaker,
@@ -696,7 +699,9 @@ def merge_report(path: str, key: str, payload: Dict[str, Any]) -> None:
 
     The benchmark and the HTTP load generator both write to
     ``BENCH_server.json``; merging keeps one file with every section.
+    The parent directory is created when missing.
     """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)

@@ -13,7 +13,11 @@ design (nginx/gunicorn shape), stdlib-only:
 * Each **worker** inherits the bound socket across ``fork`` and runs the
   ordinary gateway over it (:func:`repro.server.http.build_server` with
   ``sock=``): the kernel load-balances ``accept`` across the workers
-  blocked on the shared socket.  Workers load the artifact with
+  waiting on the shared socket.  The socket is non-blocking: one
+  connection wakes every worker's ``select``, and the workers that lose
+  the race for it get ``BlockingIOError`` (which socketserver ignores)
+  and go back to ``select`` instead of blocking in ``accept``, where a
+  shutdown request would never reach them.  Workers load the artifact with
   ``mmap_mode="r"``, so N processes share one physical copy of the model
   weights through the page cache instead of N copies.
 * Hot-swap stays **per worker**: each worker runs its own registry
@@ -30,7 +34,9 @@ Worker death and restart:
 * graceful (parent got SIGTERM) → every worker gets SIGTERM, stops
   accepting, marks itself draining, answers everything already in
   flight (``RequestTracker.wait_idle``), flushes the micro-batcher, and
-  exits 0.
+  exits 0.  The supervisor exits 0 only when every worker drained that
+  way; a worker that exits non-zero or has to be SIGKILLed makes it
+  exit 1.
 
 The supervisor also maintains ``pool.json`` in the stats directory (see
 :mod:`repro.server.stats`): host/port of the shared socket plus the live
@@ -44,7 +50,6 @@ import ctypes
 import os
 import signal
 import socket
-import sys
 import threading
 import time
 import traceback
@@ -179,6 +184,7 @@ def worker_main(
     board = StatsBoard(stats_dir) if stats_dir is not None else None
     if board is not None:
         app.metrics_extra = board.render_aggregate
+    sock.setblocking(False)  # a lost accept race must not block (module docs)
     server = build_server(app, sock=sock, verbose=verbose)
     tracker = server.request_tracker
     app.metrics.counter(
@@ -304,6 +310,9 @@ class WorkerSupervisor:
         self.respawn_due: Dict[int, float] = {}
         self.respawns_total = 0
         self._stop = False
+        #: Workers that exited neither 0 nor by the SIGTERM that asked
+        #: them to drain, once shutdown began (drain timeouts, crashes).
+        self._unclean_exits = 0
 
     # ------------------------------------------------------------------
     def _spawn(self, worker_id: int) -> None:
@@ -357,7 +366,11 @@ class WorkerSupervisor:
             )
             self.board.clear(worker_id)
             if self._stop:
-                continue  # orderly shutdown: no respawn
+                # Orderly shutdown: no respawn.  A worker SIGTERMed before
+                # it installed its drain handler had nothing in flight.
+                if os.waitstatus_to_exitcode(status) not in (0, -signal.SIGTERM):
+                    self._unclean_exits += 1
+                continue
             if uptime >= self.stable_uptime_s:
                 self.restarts[worker_id] = 1
             else:
@@ -409,7 +422,10 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------
     def run(self) -> int:
-        """Spawn the pool and supervise until SIGTERM/SIGINT; returns 0."""
+        """Spawn the pool and supervise until SIGTERM/SIGINT.
+
+        Returns 0 when every worker drained cleanly, 1 otherwise.
+        """
 
         def on_stop_signal(signum, frame) -> None:
             self._stop = True
@@ -427,11 +443,14 @@ class WorkerSupervisor:
                     self._write_state()
                 time.sleep(POLL_INTERVAL_S)
         finally:
-            self._shutdown()
-        return 0
+            clean = self._shutdown()
+        return 0 if clean else 1
 
-    def _shutdown(self) -> None:
-        """SIGTERM every worker, wait for drains, SIGKILL stragglers."""
+    def _shutdown(self) -> bool:
+        """SIGTERM every worker, wait for drains, SIGKILL stragglers.
+
+        True when no worker had to be killed or exited unclean.
+        """
         self._stop = True
         self.respawn_due.clear()
         for pid in self.pids.values():
@@ -446,6 +465,7 @@ class WorkerSupervisor:
             self._reap()
             if self.pids:
                 time.sleep(POLL_INTERVAL_S)
+        killed = len(self.pids)
         for worker_id, pid in list(self.pids.items()):
             _log.error("worker_drain_timeout_kill", worker=worker_id, pid=pid)
             try:
@@ -456,3 +476,4 @@ class WorkerSupervisor:
             self.pids.pop(worker_id, None)
         self.sock.close()
         self._write_state()  # workers: {} — the pool is down
+        return killed == 0 and self._unclean_exits == 0

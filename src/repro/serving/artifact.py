@@ -48,8 +48,9 @@ from ..data.catalog import Drug
 from ..data.ddi import DDIDataset
 from ..graph import SignedGraph
 
-#: Schema version of the artifact directory.  Version 2 added the
-#: propagation_backend / score_chunk_rows config fields; version 3 added
+#: Schema version of the artifact directory.  Version 2 added two MD/DDI
+#: config fields that are retired since (``DSSDDIConfig.from_dict``
+#: handles them); version 3 added
 #: the serving ``score_block`` field (fixed-shape deterministic scoring
 #: for the online gateway); version 4 added per-array SHA-256 integrity
 #: digests (``array_digests`` in the manifest) verified on load.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DDIGCNConfig,
@@ -13,7 +15,8 @@ from repro.core import (
     MSModule,
 )
 from repro.data import generate_chronic_cohort, generate_ddi, standardize_features
-from repro.graph import SignedGraph
+from repro.graph import SignedGraph, closest_truss_community
+from repro.metrics import SatisfactionBreakdown
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +355,96 @@ class TestMSModule:
         syn = module.explain(list(small_ddi.synergy[0]))
         ant = module.explain(list(small_ddi.antagonism[0]))
         assert syn.satisfaction.value > ant.satisfaction.value
+
+
+#: The paper-size DDI graph over the 86 chronic-disease drugs.
+CHRONIC_DDI = generate_ddi().graph
+
+
+def _split_in_halves(graph):
+    """``graph`` without the edges between its lower and upper half of
+    drugs: a query drawing from both halves has no community, so it takes
+    the neighbour fallback (the chronic graph itself is connected)."""
+    half = graph.num_nodes // 2
+    split = SignedGraph(graph.num_nodes)
+    for u, v, sign in graph.edges_with_signs():
+        if (u < half) == (v < half):
+            split.add_edge(u, v, sign)
+    return split
+
+
+SPLIT_CHRONIC_DDI = _split_in_halves(CHRONIC_DDI)
+
+
+def _explain_reference(graph, suggested, alpha=0.5, size_budget=60):
+    """Explanation lists and SS computed by two independent pair walks:
+    one classifies the pairs, the other counts them for Eq. 19 (each with
+    its own neighbour fallback for a disconnected suggestion)."""
+    suggested = sorted(set(suggested))
+    community = closest_truss_community(graph.to_unsigned(), suggested, size_budget)
+    if community is None:
+        members = set(suggested)
+        for s in suggested:
+            members.update(graph.neighbors(s))
+        member_list = sorted(members)
+    else:
+        member_list = sorted(set(community.nodes) | set(suggested))
+    suggested_set = set(suggested)
+    lists = ([], [], [])
+    for idx, u in enumerate(member_list):
+        for v in member_list[idx + 1:]:
+            sign = graph.sign_or_none(u, v)
+            if sign is None or sign == 0:
+                continue
+            u_in, v_in = u in suggested_set, v in suggested_set
+            if u_in and v_in:
+                lists[0 if sign == 1 else 1].append((u, v))
+            elif u_in != v_in and sign == -1:
+                lists[2].append((u, v))
+
+    k, n_prime = len(suggested), len(member_list)
+    r_in_pos = r_in_neg = r_out_neg = 0
+    for idx, u in enumerate(member_list):
+        for v in member_list[idx + 1:]:
+            sign = graph.sign_or_none(u, v)
+            if sign is None or sign == 0:
+                continue
+            u_in, v_in = u in suggested_set, v in suggested_set
+            if u_in and v_in:
+                if sign == 1:
+                    r_in_pos += 1
+                else:
+                    r_in_neg += 1
+            elif u_in != v_in and sign == -1:
+                r_out_neg += 1
+    synergy_term = 2.0 * (r_in_pos + 1) / ((r_in_neg + 1) * (k * (k - 1) + 2))
+    antagonism_term = r_out_neg / (k * (n_prime - k)) if n_prime > k else 0.0
+    breakdown = SatisfactionBreakdown(
+        value=alpha * synergy_term + (1.0 - alpha) * antagonism_term,
+        r_in_pos=r_in_pos, r_in_neg=r_in_neg, r_out_neg=r_out_neg,
+        subgraph_nodes=n_prime, k=k,
+    )
+    return member_list, lists, breakdown
+
+
+class TestExplanationPairWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.integers(0, CHRONIC_DDI.num_nodes - 1), min_size=1, max_size=6
+        ),
+        st.sampled_from([0.3, 0.5, 0.8]),
+        st.sampled_from([CHRONIC_DDI, SPLIT_CHRONIC_DDI]),
+    )
+    def test_one_walk_matches_two_walks_bitwise(self, suggested, alpha, graph):
+        """``MSModule.explain`` classifies each pair once and derives SS from
+        those counts; its lists (in order) and SS value equal the
+        two-walk reference exactly, on the chronic DDI graph and on its
+        split copy (disconnected queries)."""
+        explanation = MSModule(graph, MSConfig(alpha=alpha)).explain(suggested)
+        members, lists, breakdown = _explain_reference(graph, suggested, alpha)
+        assert explanation.community == members
+        assert explanation.synergy_within == lists[0]
+        assert explanation.antagonism_within == lists[1]
+        assert explanation.antagonism_avoided == lists[2]
+        assert explanation.satisfaction == breakdown

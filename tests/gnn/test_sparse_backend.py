@@ -1,11 +1,12 @@
-"""Sparse-vs-dense equivalence suite for the CSR propagation backend.
+"""Sparse-vs-dense equivalence suite for the CSR propagation path.
 
 Every adjacency producer must yield the same matrix (within 1e-9, in
-practice bitwise) whether the dense or the CSR path is forced, the
-sparse ``matmul_fixed`` must match its dense twin in both the forward
-and the backward pass, and the end-to-end module outputs
-(``MDModule.predict_scores``, ``DDIModule.fit`` embeddings) must agree
-across backends.
+practice bitwise) whether the density rule is forced to pick dense or
+CSR (the ``representation`` fixture of the root ``conftest.py`` patches
+the rule's two constants), the sparse ``matmul_fixed`` must match its
+dense twin in both the forward and the backward pass, and the
+end-to-end module outputs (``MDModule.predict_scores``,
+``DDIModule.fit`` embeddings) must agree across representations.
 """
 
 import numpy as np
@@ -23,8 +24,6 @@ from repro.graph import BipartiteGraph, SignedGraph
 from repro.nn import Tensor, matmul_fixed
 from repro.nn import sparse as sparse_backend
 from repro.serving import BatchScorer
-
-pytest.importorskip("scipy.sparse")
 
 ATOL = 1e-9
 
@@ -60,30 +59,45 @@ def _dense(mat):
     return sparse_backend.to_dense(mat)
 
 
+def _both(representation, build):
+    """``build()`` once with the rule forced dense, once forced sparse."""
+    with representation("dense"):
+        dense = build()
+    with representation("sparse"):
+        sparse = build()
+    return dense, sparse
+
+
 class TestPolicy:
-    def test_backends_validate(self):
+    def test_backends_validate(self, representation):
+        rule = (sparse_backend.MIN_SIZE, sparse_backend.DENSITY_THRESHOLD)
         with pytest.raises(ValueError):
-            sparse_backend.set_backend("csr")
-        with sparse_backend.use_backend("dense"):
-            assert sparse_backend.get_backend() == "dense"
-        assert sparse_backend.get_backend() == "auto"
+            with representation("csr"):
+                pass
+        with representation("dense"):
+            assert not sparse_backend.should_sparsify((5000, 500), 1)
+        assert (sparse_backend.MIN_SIZE, sparse_backend.DENSITY_THRESHOLD) == rule
 
     def test_auto_keeps_small_matrices_dense(self):
         # Far below the size floor: even a very sparse matrix stays dense.
-        assert not sparse_backend.should_sparsify((30, 30), 4, "auto")
+        assert not sparse_backend.should_sparsify((30, 30), 4)
 
     def test_auto_sparsifies_large_sparse_matrices(self):
-        assert sparse_backend.should_sparsify((5000, 500), 25000, "auto")
+        assert sparse_backend.should_sparsify((5000, 500), 25000)
 
-    def test_forced_backends_override_policy(self):
-        assert sparse_backend.should_sparsify((3, 3), 9, "sparse")
-        assert not sparse_backend.should_sparsify((5000, 500), 1, "dense")
+    def test_forced_backends_override_policy(self, representation):
+        with representation("sparse"):
+            assert sparse_backend.should_sparsify((3, 3), 9)
+        with representation("dense"):
+            assert not sparse_backend.should_sparsify((5000, 500), 1)
 
-    def test_maybe_sparse_round_trip(self, rng):
+    def test_maybe_sparse_round_trip(self, rng, representation):
         dense = (rng.random((20, 20)) < 0.1).astype(float)
-        csr = sparse_backend.maybe_sparse(dense, "sparse")
+        with representation("sparse"):
+            csr = sparse_backend.maybe_sparse(dense)
         assert sparse_backend.is_sparse(csr)
-        back = sparse_backend.maybe_sparse(csr, "dense")
+        with representation("dense"):
+            back = sparse_backend.maybe_sparse(csr)
         assert isinstance(back, np.ndarray)
         np.testing.assert_array_equal(back, dense)
 
@@ -101,62 +115,65 @@ class TestPolicy:
 
 
 class TestNormalizerEquivalence:
-    def test_mean_adjacency(self, rng):
+    def test_mean_adjacency(self, rng, representation):
         adj = (rng.random((25, 25)) < 0.2).astype(float)
-        dense = mean_adjacency(adj, backend="dense")
-        sparse = mean_adjacency(adj, backend="sparse")
+        dense, sparse = _both(representation, lambda: mean_adjacency(adj))
         assert sparse_backend.is_sparse(sparse)
         np.testing.assert_allclose(_dense(sparse), dense, atol=ATOL)
 
-    def test_mean_adjacency_accepts_sparse_input(self, rng):
+    def test_mean_adjacency_accepts_sparse_input(self, rng, representation):
         adj = (rng.random((25, 25)) < 0.2).astype(float)
-        from_sparse = mean_adjacency(sparse_backend.as_csr(adj), backend="sparse")
-        np.testing.assert_allclose(
-            _dense(from_sparse), mean_adjacency(adj, backend="dense"), atol=ATOL
-        )
-
-    @pytest.mark.parametrize("self_loops", [False, True])
-    def test_symmetric_adjacency(self, rng, self_loops):
-        base = (rng.random((25, 25)) < 0.2).astype(float)
-        adj = np.maximum(base, base.T)
-        dense = symmetric_adjacency(adj, self_loops=self_loops, backend="dense")
-        sparse = symmetric_adjacency(adj, self_loops=self_loops, backend="sparse")
-        assert sparse_backend.is_sparse(sparse)
-        np.testing.assert_allclose(_dense(sparse), dense, atol=ATOL)
-        from_sparse = symmetric_adjacency(
-            sparse_backend.as_csr(adj), self_loops=self_loops, backend="sparse"
-        )
+        with representation("sparse"):
+            from_sparse = mean_adjacency(sparse_backend.as_csr(adj))
+        with representation("dense"):
+            dense = mean_adjacency(adj)
         np.testing.assert_allclose(_dense(from_sparse), dense, atol=ATOL)
 
-    def test_signed_mean_adjacencies(self, signed_graph):
-        pos_d, neg_d = signed_mean_adjacencies(signed_graph, backend="dense")
-        pos_s, neg_s = signed_mean_adjacencies(signed_graph, backend="sparse")
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_symmetric_adjacency(self, rng, representation, self_loops):
+        base = (rng.random((25, 25)) < 0.2).astype(float)
+        adj = np.maximum(base, base.T)
+        dense, sparse = _both(
+            representation, lambda: symmetric_adjacency(adj, self_loops=self_loops)
+        )
+        assert sparse_backend.is_sparse(sparse)
+        np.testing.assert_allclose(_dense(sparse), dense, atol=ATOL)
+        with representation("sparse"):
+            from_sparse = symmetric_adjacency(
+                sparse_backend.as_csr(adj), self_loops=self_loops
+            )
+        np.testing.assert_allclose(_dense(from_sparse), dense, atol=ATOL)
+
+    def test_signed_mean_adjacencies(self, signed_graph, representation):
+        (pos_d, neg_d), (pos_s, neg_s) = _both(
+            representation, lambda: signed_mean_adjacencies(signed_graph)
+        )
         assert sparse_backend.is_sparse(pos_s) and sparse_backend.is_sparse(neg_s)
         np.testing.assert_allclose(_dense(pos_s), pos_d, atol=ATOL)
         np.testing.assert_allclose(_dense(neg_s), neg_d, atol=ATOL)
 
     @pytest.mark.parametrize("include_zero", [True, False])
-    def test_interaction_mean_adjacency(self, signed_graph, include_zero):
-        dense = interaction_mean_adjacency(
-            signed_graph, include_zero=include_zero, backend="dense"
-        )
-        sparse = interaction_mean_adjacency(
-            signed_graph, include_zero=include_zero, backend="sparse"
+    def test_interaction_mean_adjacency(self, signed_graph, representation, include_zero):
+        dense, sparse = _both(
+            representation,
+            lambda: interaction_mean_adjacency(signed_graph, include_zero=include_zero),
         )
         assert sparse_backend.is_sparse(sparse)
         np.testing.assert_allclose(_dense(sparse), dense, atol=ATOL)
 
-    def test_bipartite_propagation(self, bipartite_graph):
-        p2d_d, d2p_d = bipartite_propagation(bipartite_graph, backend="dense")
-        p2d_s, d2p_s = bipartite_propagation(bipartite_graph, backend="sparse")
+    def test_bipartite_propagation(self, bipartite_graph, representation):
+        (p2d_d, d2p_d), (p2d_s, d2p_s) = _both(
+            representation, lambda: bipartite_propagation(bipartite_graph)
+        )
         assert sparse_backend.is_sparse(p2d_s) and sparse_backend.is_sparse(d2p_s)
         np.testing.assert_allclose(_dense(p2d_s), p2d_d, atol=ATOL)
         np.testing.assert_allclose(_dense(d2p_s), d2p_d, atol=ATOL)
 
-    def test_normalized_adjacency_backend_arg(self, bipartite_graph):
-        p2d, d2p = bipartite_graph.normalized_adjacency(backend="sparse")
+    def test_normalized_adjacency_backend_arg(self, bipartite_graph, representation):
+        (dense_p2d, _), (p2d, d2p) = _both(
+            representation, bipartite_graph.normalized_adjacency
+        )
         assert sparse_backend.is_sparse(p2d)
-        dense_p2d, _ = bipartite_graph.normalized_adjacency(backend="dense")
         np.testing.assert_allclose(_dense(p2d), dense_p2d, atol=ATOL)
         np.testing.assert_allclose(_dense(d2p), dense_p2d.T, atol=ATOL)
 
@@ -404,11 +421,12 @@ class TestFusedOps:
         with pytest.raises(IndexError):
             pair_interaction_logits(hp, hd, li, ri, np.zeros(extra_shape), mlp)
 
-    def test_lightgcn_scan_matches_generic(self, rng, bipartite_graph):
+    def test_lightgcn_scan_matches_generic(self, rng, bipartite_graph, representation):
         from repro.gnn import LightGCNPropagation, default_layer_weights
         from repro.nn import matmul_fixed
 
-        p2d, d2p = bipartite_graph.normalized_adjacency(backend="dense")
+        with representation("dense"):
+            p2d, d2p = bipartite_graph.normalized_adjacency()
         num_layers = 3
         weights = default_layer_weights(num_layers)
         prop = LightGCNPropagation(num_layers, weights)
@@ -458,41 +476,38 @@ def _small_cohort(rng, m=36, n=14):
 
 class TestEndToEndEquivalence:
     @pytest.fixture(scope="class")
-    def fitted_dense(self):
+    def fitted_dense(self, representation):
         rng = np.random.default_rng(3)
         x, y, z, graph = _small_cohort(rng)
         cfg = MDGCNConfig(
-            epochs=25, hidden_dim=16, use_counterfactual=False,
-            num_clusters=4, propagation_backend="dense",
+            epochs=25, hidden_dim=16, use_counterfactual=False, num_clusters=4,
         )
         module = MDModule(cfg)
-        module.fit(x, y, z, graph, None)
+        with representation("dense"):
+            module.fit(x, y, z, graph, None)
+            module.predict_scores(x[:1])  # builds the post-fit caches dense
         return module, x, graph
 
-    def test_md_predict_scores_across_backends(self, fitted_dense):
+    def test_md_predict_scores_across_backends(self, fitted_dense, representation):
         module, x, graph = fitted_dense
         state = module.export_state()
-        sparse_cfg = MDGCNConfig(**{
-            **module.config.to_dict(), "propagation_backend": "sparse"
-        })
-        rebuilt = MDModule.from_state(sparse_cfg, state, graph)
+        with representation("sparse"):
+            rebuilt = MDModule.from_state(module.config, state, graph)
+            rebuilt_scores = rebuilt.predict_scores(x[:9])
+            rebuilt_treatment = rebuilt.treatment_for(x[:9])
         assert sparse_backend.is_sparse(rebuilt._p2d)
         np.testing.assert_allclose(
-            rebuilt.predict_scores(x[:9]), module.predict_scores(x[:9]), atol=ATOL
+            rebuilt_scores, module.predict_scores(x[:9]), atol=ATOL
         )
-        np.testing.assert_array_equal(
-            rebuilt.treatment_for(x[:9]), module.treatment_for(x[:9])
-        )
+        np.testing.assert_array_equal(rebuilt_treatment, module.treatment_for(x[:9]))
 
-    def test_treatment_factors_cached_and_sparse(self, fitted_dense):
+    def test_treatment_factors_cached_and_sparse(self, fitted_dense, representation):
         module, _x, graph = fitted_dense
         first = module._treatment_factors()
         assert module._treatment_factors() is first  # cached, not recomputed
-        sparse_cfg = MDGCNConfig(**{
-            **module.config.to_dict(), "propagation_backend": "sparse"
-        })
-        rebuilt = MDModule.from_state(sparse_cfg, module.export_state(), graph)
-        _, synergy = rebuilt._treatment_factors()
+        with representation("sparse"):
+            rebuilt = MDModule.from_state(module.config, module.export_state(), graph)
+            _, synergy = rebuilt._treatment_factors()
         assert sparse_backend.is_sparse(synergy)
         np.testing.assert_allclose(_dense(synergy), _dense(first[1]), atol=ATOL)
 
@@ -502,20 +517,11 @@ class TestEndToEndEquivalence:
         assert module._fitted_drug_reps() is cached
         np.testing.assert_array_equal(module.drug_representations(), cached)
 
-    def test_chunked_scoring_matches_unchunked(self, fitted_dense):
-        module, x, _graph = fitted_dense
-        full = module.predict_scores(x[:12])
-        for chunk_rows in (5, 3 * module._y_train.shape[1]):
-            chunked = module.predict_scores(x[:12], chunk_rows=chunk_rows)
-            np.testing.assert_array_equal(chunked, full)
-
-    def test_batch_scorer_consumes_sparse_synergy(self, fitted_dense):
+    def test_batch_scorer_consumes_sparse_synergy(self, fitted_dense, representation):
         module, x, graph = fitted_dense
-        sparse_cfg = MDGCNConfig(**{
-            **module.config.to_dict(), "propagation_backend": "sparse"
-        })
-        rebuilt = MDModule.from_state(sparse_cfg, module.export_state(), graph)
-        scorer = BatchScorer.from_md_module(rebuilt)
+        with representation("sparse"):
+            rebuilt = MDModule.from_state(module.config, module.export_state(), graph)
+            scorer = BatchScorer.from_md_module(rebuilt)
         assert sparse_backend.is_sparse(scorer.synergy)
         np.testing.assert_allclose(
             scorer.scores(x[:9]), module.predict_scores(x[:9]), atol=ATOL
@@ -525,18 +531,19 @@ class TestEndToEndEquivalence:
         )
 
     @pytest.mark.parametrize("backbone", ["gin", "sgcn"])
-    def test_ddi_fit_across_backends(self, backbone):
+    def test_ddi_fit_across_backends(self, backbone, representation):
         rng = np.random.default_rng(11)
         _x, _y, _z, graph = _small_cohort(rng, n=20)
         embeddings = {}
-        for backend in ("dense", "sparse"):
+        for kind in ("dense", "sparse"):
             cfg = DDIGCNConfig(
                 backbone=backbone, hidden_dim=8, num_layers=2, epochs=5,
-                zero_edge_ratio=0.5, propagation_backend=backend,
+                zero_edge_ratio=0.5,
             )
             module = DDIModule(cfg)
-            module.fit(graph)
-            embeddings[backend] = module.drug_embeddings()
+            with representation(kind):
+                module.fit(graph)
+            embeddings[kind] = module.drug_embeddings()
         np.testing.assert_allclose(
             embeddings["sparse"], embeddings["dense"], atol=ATOL
         )

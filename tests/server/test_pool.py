@@ -299,3 +299,35 @@ class TestPoolSubprocess:
             if seen == {0, 1}:
                 break
         assert seen == {0, 1}
+
+
+class TestPoolDrain:
+    """SIGTERM after pooled requests drains every worker by itself.
+
+    All workers wait on one listening socket, so one connection wakes
+    each of them; a worker that loses the race for it must go back to
+    waiting instead of blocking in ``accept()``, where it would never see
+    the shutdown and the supervisor would have to SIGKILL it.
+    """
+
+    CYCLES = 4
+    REQUESTS = 12
+
+    def test_sigterm_after_pooled_requests_needs_no_kill(
+        self, pool_factory, fitted_system
+    ):
+        _system, x_pool = fitted_system
+        payload = {"features": [x_pool[0].tolist()], "k": 2}
+        drain_timeout_s = ServerConfig().drain_timeout_s
+        for cycle in range(self.CYCLES):
+            pool = pool_factory(workers=2)
+            for _ in range(self.REQUESTS):
+                status, _ = pool.post("/v1/suggest", payload)
+                assert status == 200
+            start = time.monotonic()
+            code = pool.terminate()
+            elapsed = time.monotonic() - start
+            output = pool.proc.stdout.read()
+            assert "worker_drain_timeout_kill" not in output, (cycle, output[-2000:])
+            assert code == 0, (cycle, output[-2000:])
+            assert elapsed < drain_timeout_s, (cycle, elapsed)

@@ -5,14 +5,20 @@ v1 was the PR-1 layout (no ``propagation_backend`` / ``score_chunk_rows``
 / ``score_block`` config fields), v2 added the sparse-backend fields, v3
 added the serving ``score_block``, v4 added per-array SHA-256 integrity
 digests (verified on load; absent in older artifacts, which therefore
-load unverified).  Two guarantees are pinned here:
+load unverified).  The v2 fields are retired: the density rule picks
+every matrix representation and scoring always uses one block size, so
+the loader drops ``propagation_backend="auto"`` and any
+``score_chunk_rows`` and refuses a forced representation.  Three
+guarantees are pinned here:
 
 * saving with the **current** schema and loading it back round-trips
   ``predict_scores`` bitwise (the PR-1 invariant, re-asserted against
   the current version number), and
 * loading a fixture in the **PR-1 (v1) layout** still works and is
   bitwise-identical too — old artifacts on disk survive library
-  upgrades, with config defaults filling in the newer fields.
+  upgrades, with config defaults filling in the newer fields, and
+* a v4 manifest written before the v2 fields were retired loads and
+  round-trips bitwise, unless it forces a representation.
 """
 
 import json
@@ -38,13 +44,31 @@ def fitted():
     return system, x[split.test]
 
 
-#: Config fields that did not exist in the PR-1 (format v1) manifest,
-#: per section.  The v1 fixture below strips exactly these.
+#: Current config fields that did not exist in the PR-1 (format v1)
+#: manifest, per section.  The v1 fixture below strips exactly these.
 V2_PLUS_FIELDS = {
-    "ddi": ("propagation_backend",),
-    "md": ("propagation_backend", "score_chunk_rows"),
     "serving": ("score_block",),
 }
+
+#: The retired v2 fields as a v4 manifest written before their removal
+#: carries them (their defaults).
+RETIRED_FIELDS = {
+    "ddi": {"propagation_backend": "auto"},
+    "md": {"propagation_backend": "auto", "score_chunk_rows": 262144},
+}
+
+
+def add_retired_fields(path, **overrides):
+    """Write the retired fields (``section=value`` overrides the
+    section's ``propagation_backend``) into the saved manifest at ``path``."""
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for section, fields in RETIRED_FIELDS.items():
+        manifest["config"][section].update(fields)
+        if section in overrides:
+            manifest["config"][section]["propagation_backend"] = overrides[section]
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+    return path
 
 
 def make_v1_fixture(system, path):
@@ -93,9 +117,8 @@ class TestV1Backcompat:
         path = make_v1_fixture(system, tmp_path / "v1_model")
         loaded = load_system(path)
         # The stripped fields come back as their defaults.
-        assert loaded.config.md.propagation_backend == "auto"
-        assert loaded.config.md.score_chunk_rows == 262144
         assert loaded.config.serving.score_block == 0
+        assert loaded.config.to_dict() == system.config.to_dict()
 
     def test_v1_round_trip_is_bitwise(self, fitted, tmp_path):
         system, x_test = fitted
@@ -105,3 +128,33 @@ class TestV1Backcompat:
             loaded.predict_scores(x_test), system.predict_scores(x_test)
         )
         assert loaded.suggest(x_test[:4], k=3) == system.suggest(x_test[:4], k=3)
+
+
+class TestRetiredFields:
+    def test_v4_manifest_with_retired_defaults_round_trips_bitwise(
+        self, fitted, tmp_path
+    ):
+        system, x_test = fitted
+        system.save(tmp_path / "old")
+        add_retired_fields(tmp_path / "old")
+        loaded = load_system(tmp_path / "old")
+        assert loaded.config.to_dict() == system.config.to_dict()
+        assert np.array_equal(
+            loaded.predict_scores(x_test), system.predict_scores(x_test)
+        )
+        loaded.save(tmp_path / "resaved")
+        manifest = json.loads((tmp_path / "resaved" / "manifest.json").read_text())
+        assert "propagation_backend" not in manifest["config"]["md"]
+        assert "score_chunk_rows" not in manifest["config"]["md"]
+        assert np.array_equal(
+            load_system(tmp_path / "resaved").predict_scores(x_test),
+            system.predict_scores(x_test),
+        )
+
+    @pytest.mark.parametrize("section", ["ddi", "md"])
+    def test_forced_representation_is_rejected(self, fitted, tmp_path, section):
+        system, _ = fitted
+        system.save(tmp_path / "old")
+        add_retired_fields(tmp_path / "old", **{section: "dense"})
+        with pytest.raises(ValueError, match=f"{section}.propagation_backend"):
+            load_system(tmp_path / "old")
