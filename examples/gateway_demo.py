@@ -54,7 +54,7 @@ def main() -> None:
     # 3. serve on an ephemeral port and hammer it concurrently
     app = GatewayApp(
         ModelRegistry(root),
-        ServerConfig(max_batch_size=16, score_block=8),
+        ServerConfig(max_batch_size=16),
     )
     server = build_server(app, port=0)
     port = server.server_address[1]

@@ -23,7 +23,9 @@ every stage and prove the invariant.  Call sites pass a ``site`` name
 A kill before the rename leaves only a dot-prefixed orphan; a kill after
 leaves a complete result plus (at worst) the same orphan.  Orphans are
 reclaimed by :func:`sweep_orphans`, which writers run *before* creating
-new temps — the directory converges instead of accumulating junk.
+new temps — the directory converges instead of accumulating junk.  A
+writer tags its temps with its pid (:func:`pid_tag`), so concurrent
+writers sharing a directory never sweep each other's in-flight temps.
 
 ``durable=False`` skips the fsyncs (atomicity without the flush cost)
 for files whose loss on power-cut is acceptable — per-second stats
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -53,6 +56,31 @@ ORPHAN_PATTERNS: Tuple[str, ...] = (
     ".publish-*",    # registry publish temps
     ".trash-*",      # rename-to-trash deletion staging
 )
+
+
+#: A pid tag (:func:`pid_tag`) in a ``.tmp-`` temp name: ``.<name>.tmp-pid<N>``
+#: (:func:`atomic_write_bytes`) or ``.tmp-<key8>-pid<N>-<random>`` (the
+#: pipeline cache).
+_PID_TAG = re.compile(r"\.tmp-(?:[^-]*-)?pid(\d+)(?:-|$)")
+
+
+def pid_tag() -> str:
+    """This process's writer tag for temp names (see :func:`sweep_orphans`)."""
+    return f"pid{os.getpid()}"
+
+
+def _writer_alive(name: str) -> bool:
+    """Whether ``name`` carries the pid tag of a process that still runs."""
+    match = _PID_TAG.search(name)
+    if match is None:
+        return False
+    try:
+        os.kill(int(match.group(1)), 0)
+    except PermissionError:
+        return True  # alive, owned by another user
+    except (OSError, OverflowError):
+        return False
+    return True
 
 
 def fsync_dir(path: PathLike) -> None:
@@ -79,10 +107,12 @@ def sweep_orphans(
 ) -> int:
     """Delete leftover temp/trash entries under ``directory``.
 
-    Safe to call any time by the directory's single logical writer:
-    every pattern is dot-prefixed, and dot-prefixed names are never part
-    of the committed state (readers skip them by contract).  Returns the
-    number of entries removed.
+    Safe to call any time: every pattern is dot-prefixed, and
+    dot-prefixed names are never part of the committed state (readers
+    skip them by contract).  A temp tagged with the pid of a live
+    process (:func:`pid_tag`) is another writer's in-flight work and is
+    left alone; once that writer has exited, its temp is swept.  Returns
+    the number of entries removed.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -90,6 +120,8 @@ def sweep_orphans(
     removed = 0
     for pattern in patterns:
         for stale in directory.glob(pattern):
+            if _writer_alive(stale.name):
+                continue
             try:
                 if stale.is_dir():
                     shutil.rmtree(stale, ignore_errors=True)
@@ -114,7 +146,7 @@ def atomic_write_bytes(
     fsyncs but keeps the all-or-nothing rename.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    tmp = path.with_name(f".{path.name}.tmp-{pid_tag()}")
     chaos.failpoint(site + ".setup")
     try:
         with open(tmp, "wb") as fh:

@@ -8,7 +8,7 @@ hidden size 64, LeakyReLU after the FC layers, 2 MDGCN propagation layers,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional
+from typing import Any, ClassVar, Dict, Optional
 
 BACKBONES = ("gin", "sgcn", "sigat", "snea")
 DRUG_EMBEDDING_MODES = ("ddigcn", "onehot", "kg", "none")
@@ -133,13 +133,6 @@ class ServingConfig(_SerializableConfig):
     synergy_bonus: float = 0.05
     antagonism_penalty: float = 0.2
     hard_exclude: bool = False
-    # Fixed-shape scoring block: 0 keeps the legacy whole-batch path; a
-    # value >= 2 scores every request in fixed chunks of that many
-    # patients (the tail padded), which makes scores bitwise-independent
-    # of how concurrent requests were coalesced into batches.  See
-    # BatchScorer.scores_blocked; the online gateway relies on this for
-    # its micro-batching determinism guarantee.
-    score_block: int = 0
 
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range serving knobs."""
@@ -149,8 +142,6 @@ class ServingConfig(_SerializableConfig):
             raise ValueError("default_k must be >= 1")
         if self.synergy_bonus < 0 or self.antagonism_penalty < 0:
             raise ValueError("bonus and penalty must be non-negative")
-        if self.score_block != 0 and self.score_block < 2:
-            raise ValueError("score_block must be 0 (off) or >= 2")
 
 
 @dataclass
@@ -170,9 +161,6 @@ class ServerConfig(_SerializableConfig):
             from the queue (1 disables coalescing: every request is
             scored on its own).  The flusher never waits for a batch to
             fill: it flushes whenever it is free and a request is queued.
-        score_block: fixed-shape scoring block forwarded to
-            :class:`repro.serving.SuggestionService` (0 = legacy path;
-            >= 2 = bitwise batch-composition-independent scoring).
         max_request_rows: per-request cap on patient rows (request
             validation; protects the batcher from one giant request).
         submit_timeout_s: how long a request waits for its batch result
@@ -219,7 +207,10 @@ class ServerConfig(_SerializableConfig):
     host: str = "127.0.0.1"
     port: int = 8035
     max_batch_size: int = 32
-    score_block: int = 8
+    # Not a field, a flag or serialized: scoring has one shape rule and
+    # no block option.  ``perfbench/run.py`` still reads this value and
+    # assigns it to its ``ServingConfig``, where it changes nothing.
+    score_block: ClassVar[int] = 8
     max_request_rows: int = 256
     submit_timeout_s: float = 30.0
     pinned_version: Optional[str] = None
@@ -242,8 +233,6 @@ class ServerConfig(_SerializableConfig):
             raise ValueError("port must be in [0, 65536) (0 = ephemeral)")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.score_block != 0 and self.score_block < 2:
-            raise ValueError("score_block must be 0 (off) or >= 2")
         if self.max_request_rows < 1:
             raise ValueError("max_request_rows must be >= 1")
         if self.submit_timeout_s <= 0:
@@ -278,8 +267,12 @@ def _drop_retired(section: str, data: Dict[str, Any]) -> Dict[str, Any]:
     decides alone, so only ``"auto"`` loads.  Any other value is refused,
     because loading it under the density rule could change the bits of
     the fit it describes.  ``score_chunk_rows`` (``md``) never changed
-    a score and is dropped whatever its value.
+    a score and is dropped whatever its value, and so is ``score_block``
+    (``serving``): every patient now scores bitwise the same in any
+    batch, which is what its fixed-shape blocks bought.
     """
+    if section == "serving":
+        return {k: v for k, v in data.items() if k != "score_block"}
     if section not in ("ddi", "md"):
         return data
     data = dict(data)
@@ -339,7 +332,9 @@ class DSSDDIConfig:
             ddi=DDIGCNConfig.from_dict(_drop_retired("ddi", data.get("ddi", {}))),
             md=MDGCNConfig.from_dict(_drop_retired("md", data.get("md", {}))),
             ms=MSConfig.from_dict(data.get("ms", {})),
-            serving=ServingConfig.from_dict(data.get("serving", {})),
+            serving=ServingConfig.from_dict(
+                _drop_retired("serving", data.get("serving", {}))
+            ),
         )
 
     @classmethod

@@ -22,14 +22,15 @@ MDGCN has an encoder and a decoder:
 
 Inference for *unobserved* patients re-derives their treatment row from
 the fitted K-means clustering and the DDI synergy propagation, then scores
-every drug with :func:`score_all_drugs`, the one Eq. 14 inference kernel
-(the serving path's :class:`repro.serving.BatchScorer` calls it too).
+every drug with :func:`score_patients`, the one scoring path (the serving
+:class:`repro.serving.BatchScorer` calls it too) around the Eq. 14 kernel
+:func:`score_all_drugs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,9 +73,14 @@ from ..train import (
 )
 from .config import MDGCNConfig
 
-#: Patients per block of :func:`score_all_drugs`: 8 x 86 drugs x 65
-#: doubles is about 350 KB, which stays in L2 through the GEMMs.
+#: Patients per block of :func:`score_all_drugs`: 8 x 88 drug rows x 65
+#: doubles is about 370 KB, which stays in L2 through the GEMMs.
 SCORE_BLOCK_PATIENTS = 8
+
+#: BLAS finishes the last ``rows % 4`` rows of the output layer's
+#: matrix-vector product in a separate loop, so :func:`score_all_drugs`
+#: pads the drug axis to a multiple of four rows.
+DRUG_ROW_MULTIPLE = 4
 
 
 def score_all_drugs(
@@ -89,32 +95,58 @@ def score_all_drugs(
 
     ``treatment`` holds the (B, n) T_iv; the decoder MLP has ReLU between
     layers and a linear output.  Each block of patients writes
-    ``[h_i ⊙ h'_v, T_iv]`` into one per-call workspace and decodes it
-    with one GEMM per layer.  Scores are bitwise those of one decode over
-    the whole batch: products are elementwise, GEMM rows do not depend on
-    the row count (from two rows up), and ``block`` is rounded down to a
-    multiple of four because BLAS finishes the last ``rows % 4`` rows of
-    the output layer's matrix-vector product in a separate loop; whole
-    groups of four patients leave only the batch's last rows there.
+    ``[h_i ⊙ h'_v, T_iv]`` into one per-call workspace whose drug axis is
+    padded with zero rows to a multiple of :data:`DRUG_ROW_MULTIPLE`, and
+    decodes it with one GEMM per layer.  Every block therefore has a
+    multiple of four rows, none of them reaches the output layer's tail
+    loop, and a patient's scores are bitwise the same in any block and
+    any batch (GEMM rows do not depend on the row count from two rows
+    up).  The padding rows are sliced off the output.
     """
     num, width = h_patients.shape
     n = drug_reps.shape[0]
-    block = max(1, min(max(4, block - block % 4), num))
-    workspace = np.empty((block, n, width + 1))
+    padded = -(-n // DRUG_ROW_MULTIPLE) * DRUG_ROW_MULTIPLE
+    block = max(1, min(block, num))
+    workspace = np.zeros((block, padded, width + 1))
     out = np.empty((num, n))
     for start in range(0, num, block):
         stop = min(start + block, num)
         ws = workspace[: stop - start]
-        np.multiply(h_patients[start:stop, None, :], drug_reps, out=ws[:, :, :width])
-        ws[:, :, width] = treatment[start:stop]
+        np.multiply(h_patients[start:stop, None, :], drug_reps, out=ws[:, :n, :width])
+        ws[:, :n, width] = treatment[start:stop]
         z = ws.reshape(-1, width + 1)
         for layer, (w, b) in enumerate(zip(weights, biases)):
             if layer:
                 np.maximum(z, 0.0, out=z)
             z = z @ w
             z += b
-        out[start:stop] = stable_sigmoid(z.reshape(stop - start, n))
+        out[start:stop] = stable_sigmoid(z.reshape(stop - start, padded))[:, :n]
     return out
+
+
+def score_patients(
+    patient_features: np.ndarray,
+    encode: Callable[[np.ndarray], np.ndarray],
+    treatment_of: Callable[[np.ndarray], np.ndarray],
+    drug_reps: np.ndarray,
+    weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Scores (B, n) of raw patient features: Eq. 9 then Eq. 14.
+
+    The one scoring shape rule, shared by ``MDModule.predict_scores`` and
+    the serving ``BatchScorer``: a lone patient is encoded and scored as
+    two copies of itself, because a one-row encoder GEMM runs as a BLAS
+    gemv whose bits differ from the multi-row GEMM.  With the drug-axis
+    padding of :func:`score_all_drugs` this makes every patient's scores
+    independent of the batch it arrives in.
+    """
+    x = np.atleast_2d(np.asarray(patient_features, dtype=np.float64))
+    lone = x.shape[0] == 1
+    if lone:
+        x = np.concatenate([x, x])
+    scores = score_all_drugs(encode(x), drug_reps, treatment_of(x), weights, biases)
+    return scores[:1] if lone else scores
 
 
 def derive_treatment(
@@ -465,15 +497,13 @@ class MDModule:
         """Suggestion scores for every drug, per patient (sigmoid probs).
 
         Uses the cached post-training drug representations (no re-encode
-        of the training set) and :func:`score_all_drugs` in blocks of
-        ``SCORE_BLOCK_PATIENTS``.
+        of the training set) and :func:`score_patients`, so a patient's
+        scores do not depend on the batch it is scored in.
         """
         self._require_fitted()
-        x = np.asarray(patient_features, dtype=np.float64)
-        treatment = self.treatment_for(x)
-        h_new = self._patient_fc(Tensor(x)).leaky_relu().numpy()
-        return score_all_drugs(
-            h_new, self._fitted_drug_reps(), treatment, *self._decoder_params()
+        return score_patients(
+            patient_features, self.patient_representations, self.treatment_for,
+            self._fitted_drug_reps(), *self._decoder_params(),
         )
 
     # ------------------------------------------------------------------

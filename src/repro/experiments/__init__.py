@@ -12,14 +12,11 @@
 | table4     | Table IV MIMIC validation    | :func:`run_table4` |
 | fig9       | Fig. 9 rank-movement cases   | :func:`run_fig9` |
 
-Run from the command line::
-
-    python -m repro.experiments table1 --scale small
-
-or — cached and parallel — through the pipeline CLI (the fit/score/metric
-phases of every experiment are registered as :mod:`repro.pipeline` stages
-at import time; shared work like the DSSDDI(SGCN) fit is computed once
-and reused across table1/table3/fig7/fig8/fig9)::
+Run from the command line through the pipeline CLI, cached and parallel
+(the fit/score/metric phases of every experiment are registered as
+:mod:`repro.pipeline` stages at import time; shared work like the
+DSSDDI(SGCN) fit is computed once and reused across
+table1/table3/fig7/fig8/fig9)::
 
     repro run table1 --scale small
     repro run all --jobs 4

@@ -250,19 +250,3 @@ def stage_fig8(ctx, data, system, lightgcn) -> Fig8Result:
 def stage_fig9(ctx, data, system) -> Fig9Result:
     """Pipeline stage reusing the shared "w/ DDI" SGCN fit."""
     return run_fig9(scale=ctx.scale, data=data, with_system=system)
-
-
-def main_fig8(scale_name: str = "small") -> Fig8Result:
-    """Legacy entry point (``python -m repro.experiments fig8``)."""
-    result = run_fig8(Scale.by_name(scale_name))
-    print("Fig. 8 - explanation subgraphs")
-    print(result.render())
-    return result
-
-
-def main_fig9(scale_name: str = "small") -> Fig9Result:
-    """Legacy entry point (``python -m repro.experiments fig9``)."""
-    result = run_fig9(Scale.by_name(scale_name))
-    print("Fig. 9 - DDI rank-movement case studies")
-    print(result.render())
-    return result

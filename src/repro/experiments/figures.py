@@ -225,30 +225,3 @@ def stage_fig3(ctx) -> Fig3Result:
 def stage_fig7(ctx, data, system, lightgcn) -> Fig7Result:
     """Pipeline stage reusing the shared DSSDDI(SGCN) and LightGCN fits."""
     return run_fig7(scale=ctx.scale, data=data, system=system, lightgcn=lightgcn)
-
-
-def main_fig2(scale_name: str = "small") -> Fig2Result:
-    """Legacy entry point; the cohort size/seed follow ``--scale``."""
-    scale = Scale.by_name(scale_name)
-    result = run_fig2(num_patients=scale.num_patients, seed=scale.seed)
-    print("Fig. 2 - disease composition")
-    print(result.render())
-    return result
-
-
-def main_fig3(scale_name: str = "small") -> Fig3Result:
-    """Legacy entry point; accepts ``--scale`` for CLI uniformity (the
-    86-drug catalog is scale-independent)."""
-    del scale_name
-    result = run_fig3()
-    print("Fig. 3 - medications per disease")
-    print(result.render())
-    return result
-
-
-def main_fig7(scale_name: str = "small") -> Fig7Result:
-    """Legacy entry point (``python -m repro.experiments fig7``)."""
-    result = run_fig7(Scale.by_name(scale_name))
-    print("Fig. 7 - representation similarity (off-diagonal mean cosine)")
-    print(result.render())
-    return result

@@ -90,11 +90,3 @@ def run_table1(
 def stage_table1(ctx, data: ChronicExperimentData, scores) -> Table1Result:
     """Pipeline metric stage over the shared score matrices."""
     return compute_table1(data, scores, ks=KS)
-
-
-def main(scale_name: str = "small") -> Table1Result:
-    """Legacy entry point (``python -m repro.experiments table1``)."""
-    result = run_table1(Scale.by_name(scale_name))
-    print("Table I - medication suggestion (chronic data)")
-    print(result.render())
-    return result

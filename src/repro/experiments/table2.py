@@ -116,11 +116,3 @@ def stage_table2_scores(ctx, data: ChronicExperimentData) -> Dict[str, np.ndarra
 def stage_table2(ctx, data: ChronicExperimentData, scores) -> Table2Result:
     """Pipeline metric stage over the cached variant scores."""
     return compute_table2(data, scores, ks=KS)
-
-
-def main(scale_name: str = "small") -> Table2Result:
-    """Legacy entry point (``python -m repro.experiments table2``)."""
-    result = run_table2(Scale.by_name(scale_name))
-    print("Table II - drug-embedding ablation (SGCN backbone)")
-    print(result.render())
-    return result

@@ -91,11 +91,3 @@ def stage_table3(ctx, data: ChronicExperimentData, scores) -> Table3Result:
     """Pipeline metric stage — reuses the Table I score matrices (the
     paper evaluates the same suggestions under both metric families)."""
     return compute_table3(data, scores, ks=KS)
-
-
-def main(scale_name: str = "small") -> Table3Result:
-    """Legacy entry point (``python -m repro.experiments table3``)."""
-    result = run_table3(Scale.by_name(scale_name))
-    print("Table III - Suggestion Satisfaction")
-    print(result.render())
-    return result

@@ -238,11 +238,3 @@ def stage_table4_scores(ctx, bundle: MimicExperimentData) -> Dict[str, np.ndarra
 def stage_table4(ctx, bundle: MimicExperimentData, scores) -> Table4Result:
     """Pipeline metric stage over the cached MIMIC scores."""
     return compute_table4(bundle, scores, ks=KS)
-
-
-def main(scale_name: str = "small") -> Table4Result:
-    """Legacy entry point (``python -m repro.experiments table4``)."""
-    result = run_table4(Scale.by_name(scale_name))
-    print("Table IV - medication suggestion (synthetic MIMIC-III)")
-    print(result.render())
-    return result

@@ -268,11 +268,15 @@ class StageCache:
         save, _ = _SERIALIZERS[serializer]
         self.stages_dir.mkdir(parents=True, exist_ok=True)
         # Reclaim temp/trash orphans a killed predecessor left behind —
-        # the startup-sweep half of the atomic-write idiom.  Store runs
-        # only on cache misses, so the extra globs are off the hot path.
+        # the startup-sweep half of the atomic-write idiom.  The pid tag
+        # keeps a concurrent writer's (``repro run --jobs``) in-flight
+        # temp out of the sweep.  Store runs only on cache misses, so
+        # the extra globs are off the hot path.
         atomicio.sweep_orphans(self.stages_dir)
         tmp = Path(
-            tempfile.mkdtemp(prefix=f".tmp-{key[:8]}-", dir=self.stages_dir)
+            tempfile.mkdtemp(
+                prefix=f".tmp-{key[:8]}-{atomicio.pid_tag()}-", dir=self.stages_dir
+            )
         )
         try:
             chaos.failpoint("cache.store.setup")

@@ -23,7 +23,7 @@ request, and exposes Prometheus metrics.
   (per-worker metrics snapshots merged into ``repro_pool_*`` families).
   The metrics registry itself is :mod:`repro.obs.metrics`.
 * :mod:`repro.server.loadgen` — closed- and open-loop load generator
-  writing ``BENCH_server.json``.
+  writing ``.benchmarks/BENCH_server.json``.
 * :mod:`repro.server.cli` — the ``repro-serve`` console script.
 
 Quickstart::

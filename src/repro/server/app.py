@@ -171,10 +171,6 @@ class GatewayApp:
         self.config = config or ServerConfig()
         self.config.validate()
         self.registry = registry
-        if registry.score_block is None:
-            # Deployment config decides the scoring shape; an explicit 0
-            # (legacy variable-shape path) overrides the artifact too.
-            registry.score_block = self.config.score_block
         self.started_at = time.monotonic()
         #: Request tracer (see :mod:`repro.obs`).  With the default
         #: ``trace_sample=0.0`` only requests that *arrive* with an

@@ -88,11 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         "coalescing)",
     )
     parser.add_argument(
-        "--score-block", type=int, default=defaults.score_block,
-        help="fixed-shape scoring block for bitwise batch-independent "
-        "scores (0 = legacy variable-shape scoring)",
-    )
-    parser.add_argument(
         "--pin", dest="pinned_version", default=None,
         help="serve exactly this version instead of the latest",
     )
@@ -157,7 +152,6 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
         drain_timeout_s=args.drain_timeout,
         stats_interval_s=args.stats_interval,
         max_batch_size=args.max_batch_size,
-        score_block=args.score_block,
         max_request_rows=args.max_request_rows,
         pinned_version=args.pinned_version,
         watch_interval_s=args.watch_interval,
@@ -208,8 +202,7 @@ def _run_pool(args: argparse.Namespace, config: ServerConfig) -> int:
         f"stats + pool.json in {stats_dir}"
     )
     print(
-        f"micro-batching: max_batch_size={config.max_batch_size}, "
-        f"score_block={config.score_block}; "
+        f"micro-batching: max_batch_size={config.max_batch_size}; "
         f"watch_interval_s={config.watch_interval_s}, "
         f"drain_timeout_s={config.drain_timeout_s}",
         flush=True,
@@ -230,7 +223,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     registry = ModelRegistry(
         args.root,
         pinned_version=config.pinned_version,
-        score_block=config.score_block,  # 0 is an explicit "legacy path"
         mmap_mode="r" if config.mmap_artifacts else None,
     )
     try:
@@ -253,8 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"on http://{config.host}:{server.server_address[1]}"
     )
     print(
-        f"micro-batching: max_batch_size={config.max_batch_size}, "
-        f"score_block={config.score_block}; "
+        f"micro-batching: max_batch_size={config.max_batch_size}; "
         f"watch_interval_s={config.watch_interval_s}"
     )
     try:

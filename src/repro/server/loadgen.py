@@ -1,4 +1,4 @@
-"""Load generator for the gateway: closed/open-loop + BENCH_server.json.
+"""Load generator for the gateway: closed/open-loop + a JSON report.
 
 Two arrival models over the same targets:
 
@@ -34,7 +34,7 @@ few hot rows to mimic the skew of production traffic.
 
 As a script (see ``repro-serve`` docs; also ``python -m
 repro.server.loadgen``) it targets a running gateway over HTTP and merges
-its report into ``BENCH_server.json``.
+its report into ``.benchmarks/BENCH_server.json``.
 """
 
 from __future__ import annotations
@@ -698,7 +698,8 @@ def merge_report(path: str, key: str, payload: Dict[str, Any]) -> None:
     """Merge ``payload`` under ``key`` in the JSON report at ``path``.
 
     The benchmark and the HTTP load generator both write to
-    ``BENCH_server.json``; merging keeps one file with every section.
+    ``.benchmarks/BENCH_server.json``; merging keeps one file with every
+    section.
     The parent directory is created when missing.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

@@ -172,7 +172,6 @@ def worker_main(
     registry = ModelRegistry(
         root,
         pinned_version=config.pinned_version,
-        score_block=config.score_block,
         mmap_mode=mmap_mode,
     )
     app = GatewayApp(registry, config)

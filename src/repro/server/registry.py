@@ -31,12 +31,11 @@ import os
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .. import atomicio, chaos
-from ..core.config import ServingConfig
 from ..serving.artifact import ARRAYS_NAME, MANIFEST_NAME, save_artifact
 from ..serving.service import SuggestionService
 
@@ -315,10 +314,6 @@ class ModelRegistry:
         root: artifact root (or a single artifact directory).
         pinned_version: serve exactly this version name; ``None`` serves
             the latest.
-        score_block: when not ``None``, overrides the artifact's serving
-            ``score_block`` — a value >= 2 forces fixed-shape
-            deterministic scoring, an explicit 0 forces the legacy
-            variable-shape path, whatever the artifact was saved with.
         mmap_mode: ``"r"`` memory-maps artifact arrays on load instead
             of copying them (``None`` = copy).  The pre-fork worker pool
             sets ``"r"`` so N workers share one physical copy of the
@@ -337,12 +332,10 @@ class ModelRegistry:
         self,
         root: PathLike,
         pinned_version: Optional[str] = None,
-        score_block: Optional[int] = None,
         mmap_mode: Optional[str] = None,
     ) -> None:
         self.root = Path(root)
         self.pinned_version = pinned_version
-        self.score_block = score_block
         self.mmap_mode = mmap_mode
         self._swap_lock = threading.Lock()
         self._active: Optional[ServingHandle] = None
@@ -469,7 +462,9 @@ class ModelRegistry:
                 ):
                     return False, current.version
                 try:
-                    service = self._load_service(target)
+                    service = SuggestionService.load(
+                        target.path, mmap_mode=self.mmap_mode
+                    )
                 except Exception as exc:
                     self.reload_errors += 1
                     self.quarantined[key] = f"{type(exc).__name__}: {exc}"
@@ -500,15 +495,6 @@ class ModelRegistry:
                 f"({len(self.quarantined)} quarantined: "
                 f"{sorted(self.quarantined)})"
             )
-
-    def _load_service(self, version: ModelVersion) -> SuggestionService:
-        service = SuggestionService.load(version.path, mmap_mode=self.mmap_mode)
-        if self.score_block is not None:
-            config: ServingConfig = replace(
-                service.config, score_block=self.score_block
-            )
-            service = SuggestionService(service._system, config=config)
-        return service
 
     def maybe_reload(self) -> bool:
         """Best-effort :meth:`reload` for the file watcher (no raise).

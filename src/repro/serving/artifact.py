@@ -49,11 +49,10 @@ from ..data.ddi import DDIDataset
 from ..graph import SignedGraph
 
 #: Schema version of the artifact directory.  Version 2 added two MD/DDI
-#: config fields that are retired since (``DSSDDIConfig.from_dict``
-#: handles them); version 3 added
-#: the serving ``score_block`` field (fixed-shape deterministic scoring
-#: for the online gateway); version 4 added per-array SHA-256 integrity
-#: digests (``array_digests`` in the manifest) verified on load.
+#: config fields and version 3 a serving field for fixed-shape gateway
+#: scoring; all three are retired since (``DSSDDIConfig.from_dict``
+#: handles them).  Version 4 added per-array SHA-256 integrity digests
+#: (``array_digests`` in the manifest) verified on load.
 #: Bumping it means older readers fail with the clean "unsupported
 #: artifact format version" error instead of a confusing
 #: unknown-config-field error.  Older artifacts (which simply lack the

@@ -4,7 +4,7 @@
 the live module — the final drug representations h'_v, the Eq. 9 and
 Eq. 14 weights, the per-cluster drug exposure and the DDI synergy
 adjacency — once, read-only.  Both score through
-:func:`repro.core.md_module.score_all_drugs` on the same arrays, so batch
+:func:`repro.core.md_module.score_patients` on the same arrays, so batch
 scores are bitwise identical to ``MDModule.predict_scores``.
 """
 
@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from ..core.md_module import MDModule, derive_treatment, score_all_drugs
+from ..core.md_module import MDModule, derive_treatment, score_patients
 from ..ml import KMeansResult
 from ..nn import leaky_relu
 from ..nn import sparse as sparse_backend
@@ -90,51 +90,12 @@ class BatchScorer:
         return leaky_relu(x @ self.patient_weight + self.patient_bias)
 
     def scores(self, patient_features: np.ndarray) -> np.ndarray:
-        """Sigmoid suggestion scores, (batch, n_drugs), via the Eq. 14 kernel."""
-        x = np.atleast_2d(np.asarray(patient_features, dtype=np.float64))
-        return score_all_drugs(
-            self.patient_representations(x), self.drug_reps, self.treatment_for(x),
-            self.decoder_weights, self.decoder_biases,
-        )
+        """Sigmoid suggestion scores, (batch, n_drugs), via the Eq. 14 kernel.
 
-    def scores_blocked(self, patient_features: np.ndarray, block: int) -> np.ndarray:
-        """Fixed-shape scoring: bitwise-independent of batch composition.
-
-        :meth:`scores` feeds BLAS matrices whose row count varies with
-        the request batch, and BLAS kernels pick shape-dependent code
-        paths (gemv vs. gemm, SIMD tail handling), so the *same patient*
-        can score differently in the last bit depending on who shares
-        their batch.  That is fine for offline evaluation but breaks the
-        online gateway's contract that micro-batched results equal
-        sequential ones bitwise.
-
-        This method therefore scores in fixed chunks of exactly
-        ``block`` patients — the final chunk padded by repeating its
-        last row, padding rows discarded — so every BLAS call in the
-        pipeline sees the same shapes no matter how requests were
-        coalesced.  Per-row results of a fixed-shape call do not depend
-        on the other rows' values or on a row's position (each output
-        row is an independent dot-product accumulation), which makes the
-        output a pure function of each patient's features.
-
-        A batch of exactly ``block`` rows is bitwise-identical to
-        :meth:`scores` on the same rows (it *is* the same call).
+        Each patient's scores are bitwise independent of the batch it
+        arrives in (see :func:`repro.core.md_module.score_patients`).
         """
-        if block < 2:
-            # block == 1 would route single rows through BLAS gemv,
-            # whose tail handling differs from the gemm path used for
-            # multi-row chunks — exactly the nondeterminism this method
-            # exists to remove.
-            raise ValueError("block must be >= 2")
-        x = np.atleast_2d(np.asarray(patient_features, dtype=np.float64))
-        batch = x.shape[0]
-        out = np.empty((batch, self.num_drugs), dtype=np.float64)
-        for start in range(0, batch, block):
-            chunk = x[start : start + block]
-            real = chunk.shape[0]
-            if real < block:
-                chunk = np.concatenate(
-                    [chunk, np.repeat(chunk[-1:], block - real, axis=0)]
-                )
-            out[start : start + real] = self.scores(chunk)[:real]
-        return out
+        return score_patients(
+            patient_features, self.patient_representations, self.treatment_for,
+            self.drug_reps, self.decoder_weights, self.decoder_biases,
+        )

@@ -108,16 +108,11 @@ class SuggestionService:
     def predict_scores(self, patient_features: np.ndarray) -> np.ndarray:
         """Suggestion scores (batch, n_drugs); matches ``DSSDDI.predict_scores``.
 
-        With ``config.score_block`` set (>= 2) the batch is scored in
-        fixed-shape chunks (:meth:`BatchScorer.scores_blocked`), making
-        each patient's scores bitwise-independent of the batch they
+        Each patient's scores are bitwise independent of the batch they
         arrived in — the contract the online gateway's micro-batcher is
         built on.
         """
-        x = np.atleast_2d(np.asarray(patient_features, dtype=np.float64))
-        if self.config.score_block:
-            return self._scorer.scores_blocked(x, self.config.score_block)
-        return self._scorer.scores(x)
+        return self._scorer.scores(patient_features)
 
     def suggest(
         self, patient_features: np.ndarray, k: Optional[int] = None

@@ -87,6 +87,51 @@ class TestKillDuringStore:
         assert stray == [], f"orphans survived recovery: {stray}"
 
 
+class TestConcurrentWriterTemps:
+    """``repro run --jobs`` stores from several processes into one cache.
+
+    Each store sweeps orphans first; a temp tagged with a live writer's
+    pid must survive that sweep, and a temp whose writer is gone must not.
+    """
+
+    def test_live_writers_temp_survives_and_reaped_writers_is_swept(self, tmp_path):
+        cache = StageCache(tmp_path)
+        cache.store("first", "s", "json", 1)
+        # A second writer that stays alive until its stdin closes.
+        writer = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.stdin.read()"],
+            stdin=subprocess.PIPE,
+        )
+        try:
+            in_flight = cache.stages_dir / f".tmp-deadbeef-pid{writer.pid}-x1y2z3"
+            in_flight.mkdir()
+            (in_flight / "data.json").write_text("1")
+            manifest_tmp = cache.stages_dir / f".doc.json.tmp-pid{writer.pid}"
+            manifest_tmp.write_text("{}")
+            cache.store("other-key", "s", "json", 2)
+            assert in_flight.is_dir() and manifest_tmp.is_file()
+        finally:
+            writer.stdin.close()
+            writer.wait(timeout=60)
+        # The writer is reaped: its temps are orphans now.
+        cache.store("third-key", "s", "json", 3)
+        assert not in_flight.exists() and not manifest_tmp.exists()
+        assert sorted(e.key for e in cache.entries()) == ["first", "other-key", "third-key"]
+
+    def test_store_temps_carry_the_writers_pid(self, tmp_path, monkeypatch):
+        cache = StageCache(tmp_path)
+        seen = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            seen.append(Path(src).name)
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        cache.store("k", "s", "json", 1)
+        assert seen and seen[0].startswith(f".tmp-k-{atomicio.pid_tag()}-")
+
+
 class TestIntegrityVerification:
     def test_verify_catches_flipped_bits(self, tmp_path):
         cache = StageCache(tmp_path)

@@ -4,11 +4,12 @@
 before :func:`repro.core.md_module.score_all_drugs` existed: repeat/tile
 index arrays over every (patient, drug) pair, one decode of all rows
 through the training pair op (or the generic op-by-op MLP for other
-decoder shapes), then the boolean-index stable sigmoid.  The kernel must
-reproduce it bit for bit, for any block size and any decoder depth.
+decoder shapes), then the boolean-index stable sigmoid.  It first pads
+the drug axis with zero rows and zero treatment columns as the kernel
+does, and slices the padding off.  The kernel must reproduce it bit for
+bit, for any block size and any decoder depth, and a fitted model must
+score every patient bitwise the same in any batch.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DSSDDI, DSSDDIConfig, MDModule
-from repro.core.md_module import SCORE_BLOCK_PATIENTS, score_all_drugs
+from repro.core.md_module import (
+    DRUG_ROW_MULTIPLE,
+    SCORE_BLOCK_PATIENTS,
+    score_all_drugs,
+)
 from repro.data import generate_chronic_cohort, split_patients, standardize_features
 from repro.nn import MLP, Tensor, concat, gather_rows
 from repro.nn.fused import can_fuse_pair_mlp, pair_interaction_logits
@@ -33,7 +38,10 @@ def _boolean_index_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _reference_scores(h_patients, drug_reps, treatment, mlp) -> np.ndarray:
-    num, n = treatment.shape
+    num, real = treatment.shape
+    n = -(-real // DRUG_ROW_MULTIPLE) * DRUG_ROW_MULTIPLE
+    drug_reps = np.concatenate([drug_reps, np.zeros((n - real, drug_reps.shape[1]))])
+    treatment = np.concatenate([treatment, np.zeros((num, n - real), treatment.dtype)], axis=1)
     patient_idx = np.repeat(np.arange(num), n)
     drug_idx = np.tile(np.arange(n), num)
     h_left, h_right = Tensor(h_patients), Tensor(drug_reps)
@@ -44,7 +52,7 @@ def _reference_scores(h_patients, drug_reps, treatment, mlp) -> np.ndarray:
         interaction = gather_rows(h_left, patient_idx) * gather_rows(h_right, drug_idx)
         t_col = Tensor(np.asarray(t, dtype=np.float64).reshape(-1, 1))
         logits = mlp(concat([interaction, t_col], axis=1)).reshape(-1)
-    return _boolean_index_sigmoid(logits.numpy()).reshape(num, n)
+    return _boolean_index_sigmoid(logits.numpy()).reshape(num, n)[:, :real]
 
 
 def _kernel_scores(h_patients, drug_reps, treatment, mlp, block=SCORE_BLOCK_PATIENTS):
@@ -58,8 +66,10 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def _module_arrays(module: MDModule, x: np.ndarray):
+    # A lone patient is encoded as two rows, as md_module.score_patients does.
+    encoded = np.concatenate([x, x]) if len(x) == 1 else x
     return (
-        module.patient_representations(x),
+        module.patient_representations(encoded)[: len(x)],
         module.drug_representations(),
         module.treatment_for(x),
         module._decoder,
@@ -136,20 +146,29 @@ class TestModuleScoring:
 
 
 class TestServiceEqualsModule:
-    @pytest.mark.parametrize("score_block", [0, 8])
-    def test_service_scores_bitwise_equal_module(self, fitted, score_block):
+    def test_service_scores_bitwise_equal_module(self, fitted):
         system, x = fitted
-        service = SuggestionService(
-            system, config=replace(system.config.serving, score_block=score_block)
-        )
-        # The blocked service pads its last block with copies of the last
-        # row, so for an odd batch the output layer's tail rows are
-        # padding there but real patients in MDModule (see
-        # md_module._BLOCK_MULTIPLE); it matches on even batches.
-        step = 1 if score_block == 0 else 2
-        for batch in range(step, 41, step):
+        service = SuggestionService(system)
+        for batch in range(1, 41):
             rows = x[:batch]
             assert np.array_equal(
                 _bits(service.predict_scores(rows)),
                 _bits(system.md_module.predict_scores(rows)),
             ), batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scores_do_not_depend_on_the_batch(fitted, data):
+    """Offline, served and full-batch scores agree bitwise, row by row."""
+    system, x = fitted
+    full = system.predict_scores(x)
+    service = SuggestionService(system)
+    size = data.draw(st.integers(1, 40), label="size")
+    rows = data.draw(
+        st.lists(st.integers(0, len(x) - 1), min_size=size, max_size=size, unique=True),
+        label="rows",
+    )
+    subset = x[rows]
+    assert np.array_equal(_bits(system.predict_scores(subset)), _bits(full[rows]))
+    assert np.array_equal(_bits(service.predict_scores(subset)), _bits(full[rows]))

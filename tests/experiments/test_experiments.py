@@ -146,9 +146,9 @@ class TestExperimentsRun:
 
 
 class TestCLI:
-    def test_main_fig3(self, capsys):
-        from repro.experiments.__main__ import main
+    def test_main_fig3(self, capsys, tmp_path):
+        from repro.pipeline.cli import main
 
-        assert main(["fig3"]) == 0
+        assert main(["run", "fig3", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Fig. 3" in out

@@ -4,14 +4,13 @@ The gateway's core correctness claim (ISSUE 4): N threads hammering
 ``suggest`` through the micro-batcher must produce results bitwise-equal
 to sequential :meth:`repro.serving.SuggestionService.suggest` on the
 same artifact — including raw scores, and including across a mid-flight
-hot-swap to a byte-identical artifact version.  Fixed-shape blocked
-scoring (``score_block``) is what makes this achievable: every patient's
-scores are a pure function of their features, independent of how the
-batcher happened to group concurrent requests.
+hot-swap to a byte-identical artifact version.  The one scoring contract
+(``repro.core.md_module.score_patients``) is what makes this achievable:
+every patient's scores are a pure function of their features, independent
+of how the batcher happened to group concurrent requests.
 """
 
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,16 +22,13 @@ from repro.server import GatewayApp, ModelRegistry, publish_artifact
 CONCURRENCY = 16
 REQUESTS_PER_THREAD = 25
 K = 3
-SCORE_BLOCK = 8
 
 
 @pytest.fixture()
 def sequential_service(fitted_system):
     """The sequential baseline: same fitted system, same scoring config."""
     system, _pool = fitted_system
-    return SuggestionService(
-        system, config=replace(system.config.serving, score_block=SCORE_BLOCK)
-    )
+    return SuggestionService(system)
 
 
 def hammer(app, pool, swap=None):
@@ -86,7 +82,7 @@ class TestConcurrentBitwiseEquality:
         _system, pool = fitted_system
         app = GatewayApp(
             ModelRegistry(model_root),
-            ServerConfig(max_batch_size=8, score_block=SCORE_BLOCK),
+            ServerConfig(max_batch_size=8),
         )
         try:
             results, _versions = hammer(app, pool)
@@ -111,7 +107,7 @@ class TestConcurrentBitwiseEquality:
         registry = ModelRegistry(root)
         app = GatewayApp(
             registry,
-            ServerConfig(max_batch_size=8, score_block=SCORE_BLOCK),
+            ServerConfig(max_batch_size=8),
         )
 
         def swap():
@@ -142,7 +138,7 @@ class TestConcurrentBitwiseEquality:
         _system, pool = fitted_system
         app = GatewayApp(
             ModelRegistry(model_root),
-            ServerConfig(max_batch_size=1, score_block=SCORE_BLOCK),
+            ServerConfig(max_batch_size=1),
         )
         try:
             for i in range(0, len(pool), 5):

@@ -21,7 +21,7 @@ from repro.server import (
 def app(model_root):
     gateway = GatewayApp(
         ModelRegistry(model_root),
-        ServerConfig(max_batch_size=8, score_block=8),
+        ServerConfig(max_batch_size=8),
     )
     yield gateway
     gateway.close()
@@ -32,15 +32,8 @@ class TestSuggestRoute:
         _system, pool = fitted_system
         status, body = app.suggest({"features": pool[:4].tolist(), "k": 3})
         assert status == 200
-        reference = SuggestionService.load(
-            model_root / body["version"],
-        )
-        # Same artifact + same fixed-shape scoring config as the gateway.
-        from dataclasses import replace
-
-        reference = SuggestionService(
-            reference._system, config=replace(reference.config, score_block=8)
-        )
+        # Same artifact as the gateway, served in-process.
+        reference = SuggestionService.load(model_root / body["version"])
         assert body["suggestions"] == reference.suggest(pool[:4], k=3).tolist()
         assert body["k"] == 3
 
@@ -141,7 +134,7 @@ class TestOtherRoutes:
         publish_artifact(system, root)
         gateway = GatewayApp(
             ModelRegistry(root),
-            ServerConfig(max_batch_size=8, score_block=8),
+            ServerConfig(max_batch_size=8),
         )
         served = (
             "repro_server_patients_scored_total",
@@ -309,3 +302,20 @@ class TestHTTPTransport:
         response = live.getresponse()
         assert response.status == 400
         assert b"invalid JSON" in response.read()
+
+
+class TestNoScoreBlockOption:
+    """Scoring has one shape rule; the retired block option is gone."""
+
+    def test_server_config_has_no_score_block_field(self):
+        assert "score_block" not in ServerConfig().to_dict()
+        with pytest.raises(TypeError):
+            ServerConfig(score_block=8)
+
+    def test_serve_cli_rejects_the_flag(self, tmp_path, capsys):
+        from repro.server.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([str(tmp_path), "--score-block", "8"])
+        assert exc.value.code == 2
+        assert "--score-block" in capsys.readouterr().err

@@ -31,7 +31,7 @@ class TestRunLoad:
     def test_inproc_load_reports_sane_numbers(self, model_root):
         app = GatewayApp(
             ModelRegistry(model_root),
-            ServerConfig(max_batch_size=8, score_block=8),
+            ServerConfig(max_batch_size=8),
         )
         try:
             pool = make_feature_pool(app.registry.active().service.feature_dim)
@@ -48,7 +48,7 @@ class TestRunLoad:
 
     def test_http_mean_batch_rows_is_the_run_delta(self, model_root):
         app = GatewayApp(
-            ModelRegistry(model_root), ServerConfig(max_batch_size=8, score_block=8)
+            ModelRegistry(model_root), ServerConfig(max_batch_size=8)
         )
         server = build_server(app, port=0)
         _thread, stop = serve_in_thread(server)

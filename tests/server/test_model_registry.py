@@ -132,15 +132,6 @@ class TestRegistry:
         with pytest.raises(NoModelError):
             ModelRegistry(tmp_path / "empty").reload()
 
-    def test_score_block_override_applies(self, model_root, fitted_system):
-        _system, pool = fitted_system
-        registry = ModelRegistry(model_root, score_block=8)
-        registry.reload()
-        service = registry.active().service
-        assert service.config.score_block == 8
-        batched = service.predict_scores(pool)
-        rows = np.vstack([service.predict_scores(pool[i : i + 1]) for i in range(len(pool))])
-        assert np.array_equal(batched, rows)
 
 
 class TestPrune:

@@ -426,7 +426,7 @@ class TestExpositionConformance:
         system, pool = fitted_system
         root = tmp_path / "models"
         publish_artifact(system, root)
-        config = ServerConfig(max_batch_size=8, score_block=8, queue_limit=4)
+        config = ServerConfig(max_batch_size=8, queue_limit=4)
         apps = [GatewayApp(ModelRegistry(root), config) for _ in range(2)]
         try:
             self._traffic(apps[0], pool, monkeypatch, rows=3)

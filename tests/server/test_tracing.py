@@ -20,7 +20,7 @@ from repro.server.app import SUGGEST_PHASES
 
 
 def make_app(model_root, **overrides):
-    defaults = dict(max_batch_size=8, score_block=8)
+    defaults = dict(max_batch_size=8)
     defaults.update(overrides)
     return GatewayApp(ModelRegistry(model_root), ServerConfig(**defaults))
 

@@ -1,14 +1,15 @@
-"""Artifact schema-version compatibility (ISSUE 4 satellite).
+"""Artifact schema-version compatibility.
 
 The artifact manifest carries ``format_version`` (the schema version):
 v1 was the PR-1 layout (no ``propagation_backend`` / ``score_chunk_rows``
 / ``score_block`` config fields), v2 added the sparse-backend fields, v3
 added the serving ``score_block``, v4 added per-array SHA-256 integrity
 digests (verified on load; absent in older artifacts, which therefore
-load unverified).  The v2 fields are retired: the density rule picks
-every matrix representation and scoring always uses one block size, so
-the loader drops ``propagation_backend="auto"`` and any
-``score_chunk_rows`` and refuses a forced representation.  Three
+load unverified).  The v2 and v3 fields are retired: the density rule
+picks every matrix representation, scoring always uses one block size,
+and every patient scores bitwise the same in any batch.  The loader
+therefore drops ``propagation_backend="auto"``, any ``score_chunk_rows``
+and any ``score_block``, and refuses a forced representation.  Three
 guarantees are pinned here:
 
 * saving with the **current** schema and loading it back round-trips
@@ -17,8 +18,8 @@ guarantees are pinned here:
 * loading a fixture in the **PR-1 (v1) layout** still works and is
   bitwise-identical too — old artifacts on disk survive library
   upgrades, with config defaults filling in the newer fields, and
-* a v4 manifest written before the v2 fields were retired loads and
-  round-trips bitwise, unless it forces a representation.
+* a v4 manifest written before the v2 and v3 fields were retired loads
+  and round-trips bitwise, unless it forces a representation.
 """
 
 import json
@@ -44,21 +45,17 @@ def fitted():
     return system, x[split.test]
 
 
-#: Current config fields that did not exist in the PR-1 (format v1)
-#: manifest, per section.  The v1 fixture below strips exactly these.
-V2_PLUS_FIELDS = {
-    "serving": ("score_block",),
-}
-
-#: The retired v2 fields as a v4 manifest written before their removal
-#: carries them (their defaults).
+#: The retired v2 and v3 fields as a v4 manifest written before their
+#: removal carries them (their defaults).  Every field they added is
+#: retired, so the current config has no field the v1 layout lacks.
 RETIRED_FIELDS = {
     "ddi": {"propagation_backend": "auto"},
     "md": {"propagation_backend": "auto", "score_chunk_rows": 262144},
+    "serving": {"score_block": 0},
 }
 
 
-def add_retired_fields(path, **overrides):
+def add_retired_fields(path, score_block=0, **overrides):
     """Write the retired fields (``section=value`` overrides the
     section's ``propagation_backend``) into the saved manifest at ``path``."""
     manifest_path = path / "manifest.json"
@@ -67,6 +64,7 @@ def add_retired_fields(path, **overrides):
         manifest["config"][section].update(fields)
         if section in overrides:
             manifest["config"][section]["propagation_backend"] = overrides[section]
+    manifest["config"]["serving"]["score_block"] = score_block
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return path
 
@@ -78,9 +76,6 @@ def make_v1_fixture(system, path):
     manifest = json.loads(manifest_path.read_text())
     manifest["format_version"] = 1
     manifest.pop("array_digests")  # integrity digests arrived in v4
-    for section, fields in V2_PLUS_FIELDS.items():
-        for name in fields:
-            manifest["config"][section].pop(name)
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return path
 
@@ -116,8 +111,8 @@ class TestV1Backcompat:
         system, _ = fitted
         path = make_v1_fixture(system, tmp_path / "v1_model")
         loaded = load_system(path)
-        # The stripped fields come back as their defaults.
-        assert loaded.config.serving.score_block == 0
+        # The v1 layout lacks only fields that are retired since.
+        assert "score_block" not in loaded.config.serving.to_dict()
         assert loaded.config.to_dict() == system.config.to_dict()
 
     def test_v1_round_trip_is_bitwise(self, fitted, tmp_path):
@@ -146,6 +141,26 @@ class TestRetiredFields:
         manifest = json.loads((tmp_path / "resaved" / "manifest.json").read_text())
         assert "propagation_backend" not in manifest["config"]["md"]
         assert "score_chunk_rows" not in manifest["config"]["md"]
+        assert "score_block" not in manifest["config"]["serving"]
+        assert np.array_equal(
+            load_system(tmp_path / "resaved").predict_scores(x_test),
+            system.predict_scores(x_test),
+        )
+
+    @pytest.mark.parametrize("score_block", [0, 8])
+    def test_v4_manifest_with_score_block_resaves_bitwise(
+        self, fitted, tmp_path, score_block
+    ):
+        system, x_test = fitted
+        system.save(tmp_path / "old")
+        saved = (tmp_path / "old" / "manifest.json").read_bytes()
+        add_retired_fields(tmp_path / "old", score_block=score_block)
+        loaded = load_system(tmp_path / "old")
+        assert np.array_equal(
+            loaded.predict_scores(x_test), system.predict_scores(x_test)
+        )
+        loaded.save(tmp_path / "resaved")
+        assert (tmp_path / "resaved" / "manifest.json").read_bytes() == saved
         assert np.array_equal(
             load_system(tmp_path / "resaved").predict_scores(x_test),
             system.predict_scores(x_test),

@@ -5,13 +5,10 @@ PR 8 gave the repo structured logging (:mod:`repro.obs.log`) and spans
 ``print`` in the serving or training path corrupts machine-read stdout
 (benchmark JSON, rendered artifacts) and bypasses every sink.  This
 lint walks every module under the source root and flags ``print(...)``
-calls, with three deliberate escapes:
+calls, with two deliberate escapes:
 
 * **CLI modules** — files named ``cli.py``, ``__main__.py`` or
   ``loadgen.py`` exist to talk to a human on stdout;
-* **legacy entry points** — functions named ``main`` or ``main_*``
-  (the pre-pipeline ``python -m repro.experiments`` paths) are CLIs in
-  function form;
 * the marker comment ``# lint: allow-print`` on the line (or the line
   above), for the rare justified exception — the marker forces the
   author to say so out loud.
@@ -40,32 +37,15 @@ ALLOWED_FILENAMES = {"cli.py", "__main__.py", "loadgen.py"}
 ALLOW_MARKER = "# lint: allow-print"
 
 
-def _is_entry_function(name: str) -> bool:
-    """CLI-in-function-form: ``main`` / ``main_fig7`` / ``main_table1``."""
-    return name == "main" or name.startswith("main_")
-
-
 def _print_calls(tree: ast.AST):
-    """Yield line numbers of ``print(...)`` calls outside entry functions.
-
-    The walk is explicit (not ``ast.walk``) so each call knows whether
-    an enclosing function is an entry point.
-    """
-
-    def visit(node: ast.AST, in_entry: bool):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            in_entry = in_entry or _is_entry_function(node.name)
+    """Yield line numbers of ``print(...)`` calls."""
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "print"
-            and not in_entry
         ):
             yield node.lineno
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, in_entry)
-
-    yield from visit(tree, False)
 
 
 def lint_file(path: Path, rel: str) -> list:
