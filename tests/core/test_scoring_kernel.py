@@ -146,11 +146,14 @@ class TestModuleScoring:
 
 
 class TestServiceEqualsModule:
-    def test_service_scores_bitwise_equal_module(self, fitted):
+    # ``start`` is the first patient row of each batch, so the two cases
+    # score different patients in every batch size.
+    @pytest.mark.parametrize("start", [0, 8])
+    def test_service_scores_bitwise_equal_module(self, fitted, start):
         system, x = fitted
         service = SuggestionService(system)
         for batch in range(1, 41):
-            rows = x[:batch]
+            rows = x[start : start + batch]
             assert np.array_equal(
                 _bits(service.predict_scores(rows)),
                 _bits(system.md_module.predict_scores(rows)),
