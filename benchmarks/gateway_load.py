@@ -1,40 +1,29 @@
-"""Load generator for the gateway: closed/open-loop + a JSON report.
+"""Load generator for the repro-serve gateway: closed/open loop + a JSON report.
 
-Two arrival models over the same targets:
+A benchmarking client, not part of the library: nothing under ``src/``
+imports it, so it lives next to the benchmarks that drive it::
 
-* **closed-loop** (:func:`run_load`) — ``concurrency`` workers, each
-  sending its next request as soon as the previous one answers; the
-  standard way to measure a serving system's throughput/latency
-  trade-off.
-* **open-loop** (:func:`run_open_loop`) — requests dispatched on a
-  precomputed arrival schedule *independent of response times*, the way
-  real traffic arrives.  Latency is measured from the scheduled arrival,
-  so queueing delay when the gateway falls behind the offered rate is
-  *included* — closed-loop generators hide exactly that (coordinated
-  omission).  Schedules are seeded and fully deterministic:
-  :func:`poisson_schedule` (exponential inter-arrivals) and
-  :func:`burst_schedule` (periodic on/off bursts via thinning).
+    PYTHONPATH=src python benchmarks/gateway_load.py --url http://127.0.0.1:8035
 
-Two transports, same traffic:
+Two arrival models share one sender loop (:func:`_drive`):
 
-* **HTTP** (:class:`HTTPTarget`) — real ``POST /v1/suggest`` requests
-  over persistent ``http.client`` connections against a live gateway;
-  what the CI smoke job runs.
-* **in-process** (:class:`InprocTarget`) — drives
-  :meth:`repro.server.app.GatewayApp.suggest` directly, which measures
-  the serving stack (batcher + registry + scorer + metrics) without the
-  socket stack; what the batching-efficiency benchmark uses so the
-  batched vs. batch-size-1 comparison is not drowned in HTTP overhead.
+* **closed loop** (:func:`run_load`) — each of ``concurrency`` senders
+  sends its next request as soon as the previous one answers.
+* **open loop** (:func:`run_open_loop`) — requests go out on a seeded
+  arrival schedule (:func:`poisson_schedule`, :func:`burst_schedule`)
+  whatever the response times.  Latency counts from the scheduled
+  arrival, so the queueing delay of a gateway that falls behind is
+  included, not hidden (coordinated omission).
 
-Traffic shape: single-patient requests drawn from a synthetic feature
-pool (seeded Gaussian rows of the model's feature dimension — the scorer
-is scale-oblivious at serving time, so this exercises the identical code
-path as real cohort features).  ``hot_fraction`` focuses that draw on a
-few hot rows to mimic the skew of production traffic.
+Two transports, same traffic: :class:`HTTPTarget` sends real ``POST
+/v1/suggest`` requests on keep-alive connections; :class:`InprocTarget`
+calls :meth:`repro.server.app.GatewayApp.suggest` directly, which
+measures the serving stack without the socket stack.  Requests carry
+one row of a seeded synthetic feature pool (:func:`make_feature_pool`);
+``hot_fraction`` skews the draw towards a few hot rows.
 
-As a script (see ``repro-serve`` docs; also ``python -m
-repro.server.loadgen``) it targets a running gateway over HTTP and merges
-its report into ``.benchmarks/BENCH_server.json``.
+As a script it merges its report into the JSON file given by
+``--output``, conventionally ``.benchmarks/BENCH_server.json``.
 """
 
 from __future__ import annotations
@@ -50,22 +39,44 @@ import sys
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 import numpy as np
 
-from .resilience import backoff_delay
-
-#: The conventional report path (relative to the repo root): under the
-#: gitignored ``.benchmarks/``, next to the benchmark suite's reports, so
-#: a load run never rewrites a tracked file.
-DEFAULT_REPORT = ".benchmarks/BENCH_server.json"
+from repro.atomicio import atomic_write_json
 
 #: Statuses worth retrying: transport failure, throttled, unavailable.
 #: 503 carries the gateway's Retry-After hint (shed queue, open breaker,
 #: expired deadline) — exactly the answers that mean "come back shortly".
 RETRYABLE_STATUSES = frozenset({-1, 429, 503})
+
+#: Payloads pre-built per sender, so the measurement loop does no numpy
+#: work of its own.
+RING_SIZE = 64
+
+
+def backoff_delay(
+    attempt: int,
+    base_s: float,
+    rng,
+    cap_s: float = 30.0,
+    retry_after_s: Optional[float] = None,
+) -> float:
+    """Jittered exponential delay before retry number ``attempt`` (0-based).
+
+    Full jitter: uniform in ``[0, min(cap_s, base_s * 2**attempt)]``, so
+    a shed burst does not come back as a synchronized thundering herd.
+    When the server sent a ``Retry-After`` hint, the delay never
+    undercuts it — the server knows when it expects to recover.
+    """
+    if attempt < 0:
+        raise ValueError("attempt must be >= 0")
+    ceiling = min(cap_s, base_s * (2.0 ** attempt))
+    delay = rng.uniform(0.0, ceiling)
+    if retry_after_s is not None:
+        delay = max(delay, float(retry_after_s))
+    return delay
 
 
 @dataclass
@@ -73,22 +84,14 @@ class RetryPolicy:
     """Client-side retry schedule for shed/unavailable responses.
 
     ``retries`` extra attempts per request, spaced by seeded
-    full-jitter exponential backoff (:func:`repro.server.resilience.
-    backoff_delay`) that never undercuts a server ``Retry-After`` hint.
-    ``None`` (the default everywhere) keeps the old fire-once behavior.
+    full-jitter exponential backoff (:func:`backoff_delay`) that never
+    undercuts a server ``Retry-After`` hint.  ``None`` (the default
+    everywhere) keeps the old fire-once behavior.
     """
 
     retries: int = 2
     backoff_s: float = 0.05
     backoff_cap_s: float = 5.0
-
-
-def _request_with_hint(conn, payload) -> Tuple[int, Optional[float]]:
-    """(status, server retry hint in seconds) from one request."""
-    fn = getattr(conn, "request_with_hint", None)
-    if fn is not None:
-        return fn(payload)
-    return conn.request(payload), None
 
 
 def send_with_retries(
@@ -106,7 +109,7 @@ def send_with_retries(
     """
     attempts = 0
     while True:
-        status, hint = _request_with_hint(conn, payload)
+        status, hint = conn.request_with_hint(payload)
         if (
             policy is None
             or status not in RETRYABLE_STATUSES
@@ -190,14 +193,10 @@ class InprocTarget:
         """Workers share the app; nothing per-worker to set up."""
         return self
 
-    def request(self, payload: Dict[str, Any]) -> int:
-        """One suggest call; returns the HTTP-equivalent status code."""
-        return self.request_with_hint(payload)[0]
-
     def request_with_hint(
         self, payload: Dict[str, Any]
     ) -> Tuple[int, Optional[float]]:
-        """One suggest call plus the body's ``retry_after_s`` hint."""
+        """One suggest call: (HTTP-equivalent status, body's ``retry_after_s``)."""
         status, body = self.app.suggest(payload)
         hint = None
         if isinstance(body, dict):
@@ -269,15 +268,6 @@ def batch_counts_from_metrics(text: str) -> Tuple[float, float]:
     )
 
 
-def _mean_batch_rows(
-    before: Optional[Tuple[float, float]], after: Optional[Tuple[float, float]]
-) -> float:
-    """Mean rows per flush between two ``batch_counts`` readings (0 if unknown)."""
-    if before is None or after is None or after[1] <= before[1]:
-        return 0.0
-    return (after[0] - before[0]) / (after[1] - before[1])
-
-
 class _HTTPWorkerConnection:
     """One worker's persistent connection to the gateway."""
 
@@ -298,14 +288,10 @@ class _HTTPWorkerConnection:
         conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return conn
 
-    def request(self, payload: Dict[str, Any]) -> int:
-        """One suggest POST; returns the status (-1 = transport error)."""
-        return self.request_with_hint(payload)[0]
-
     def request_with_hint(
         self, payload: Dict[str, Any]
     ) -> Tuple[int, Optional[float]]:
-        """One suggest POST; returns (status, Retry-After seconds or None)."""
+        """One suggest POST: (status or -1 on transport error, Retry-After s)."""
         body = json.dumps(payload)
         try:
             self._conn.request(
@@ -342,6 +328,143 @@ def make_feature_pool(
     return rng.standard_normal((pool_size, feature_dim))
 
 
+def _payload_rings(
+    feature_pool: np.ndarray,
+    senders: int,
+    k: int,
+    hot_fraction: float,
+    hot_rows: int,
+    seed: int,
+) -> List[List[Dict[str, Any]]]:
+    """One seeded ring of ``RING_SIZE`` request bodies per sender.
+
+    With probability ``hot_fraction`` a row comes from the pool's first
+    ``hot_rows`` rows (skewed traffic), otherwise from the whole pool.
+    """
+    rng = np.random.default_rng(seed)
+    rings = []
+    for _sender in range(senders):
+        ring = []
+        for _ in range(RING_SIZE):
+            if hot_fraction and rng.random() < hot_fraction:
+                row = feature_pool[int(rng.integers(0, min(hot_rows, len(feature_pool))))]
+            else:
+                row = feature_pool[int(rng.integers(0, len(feature_pool)))]
+            ring.append({"features": [row.tolist()], "k": k})
+        rings.append(ring)
+    return rings
+
+
+def _drive(
+    target,
+    rings: List[List[Dict[str, Any]]],
+    next_arrival: Callable[[], Optional[float]],
+    run: Callable[[float], None],
+    seed: int,
+    retry_policy: Optional[RetryPolicy],
+    **report_fields: Any,
+) -> LoadReport:
+    """The one sender loop and report block behind both arrival models.
+
+    One sender thread per ring, each on its own connection.  A sender
+    calls ``next_arrival()`` for every request: the request's scheduled
+    start on the ``time.perf_counter`` clock, or None to stop.  Latency
+    is completion minus that start, over successful requests only.
+
+    Every sender connects before a start barrier.  One that cannot
+    breaks the barrier, so the run fails fast: ``requests=0``,
+    ``errors>=1``, ``duration_s=0.0``.  Otherwise ``run(start)`` drives
+    the load and returns once every sender has been told to stop.
+    """
+    senders = len(rings)
+    latencies: List[float] = []  # list.append is atomic: shared by senders
+    traced: List[Tuple[float, str]] = []
+    errors = [0] * senders
+    retries = [0] * senders
+    barrier = threading.Barrier(senders + 1)
+
+    def sender(index: int) -> None:
+        try:
+            conn = target.connect()
+        except Exception:
+            errors[index] += 1
+            barrier.abort()
+            return
+        ring = rings[index]
+        retry_rng = random.Random(seed * 7919 + index)
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            return
+        sent = 0
+        while True:
+            arrival = next_arrival()
+            if arrival is None:
+                return
+            status, attempts = send_with_retries(
+                conn, ring[sent % RING_SIZE], retry_policy, retry_rng
+            )
+            latency = time.perf_counter() - arrival
+            sent += 1
+            retries[index] += attempts
+            if status != 200:
+                errors[index] += 1
+                continue
+            latencies.append(latency)
+            if conn.last_trace_id:
+                traced.append((latency, conn.last_trace_id))
+
+    threads = [
+        threading.Thread(target=sender, args=(i,), daemon=True)
+        for i in range(senders)
+    ]
+    for thread in threads:
+        thread.start()
+    batches_before = target.batch_counts()
+    try:
+        barrier.wait(timeout=60.0)
+        started = time.perf_counter()
+    except threading.BrokenBarrierError:
+        started = None
+    else:
+        run(started)
+    for thread in threads:
+        thread.join(timeout=60.0)
+    elapsed = 0.0 if started is None else time.perf_counter() - started
+    batches_after = target.batch_counts()
+    mean_batch_rows = 0.0
+    if batches_before and batches_after and batches_after[1] > batches_before[1]:
+        mean_batch_rows = (batches_after[0] - batches_before[0]) / (
+            batches_after[1] - batches_before[1]
+        )
+
+    requests = len(latencies)
+    p50 = p90 = p99 = mean_ms = 0.0
+    if requests:
+        p50, p90, p99 = (np.percentile(latencies, (50, 90, 99)) * 1e3).tolist()
+        mean_ms = float(np.mean(latencies) * 1e3)
+    traced.sort(key=lambda pair: -pair[0])
+    return LoadReport(
+        requests=requests,
+        errors=sum(errors) if started is not None else max(1, sum(errors)),
+        duration_s=elapsed,
+        throughput_rps=requests / elapsed if elapsed > 0 else 0.0,
+        p50_ms=p50,
+        p90_ms=p90,
+        p99_ms=p99,
+        mean_latency_ms=mean_ms,
+        concurrency=senders,
+        mean_batch_rows=mean_batch_rows,
+        retries=sum(retries),
+        traced_requests=len(traced),
+        slowest_traces=[
+            {"latency_ms": round(latency * 1e3, 3), "trace_id": trace_id}
+            for latency, trace_id in traced[:8]
+        ],
+        **report_fields,
+    )
+
+
 def run_load(
     target,
     feature_pool: np.ndarray,
@@ -355,143 +478,44 @@ def run_load(
 ) -> LoadReport:
     """Closed-loop load: ``concurrency`` workers for ``duration_s`` seconds.
 
-    Each worker draws a row from ``feature_pool`` (with probability
-    ``hot_fraction`` from its first ``hot_rows`` rows — skewed traffic),
-    sends ``{"features": [row], "k": k}``, and records the latency.
-    Returns a :class:`LoadReport`; failed requests count as errors and
-    do not contribute latencies.  With a :class:`RetryPolicy`, shed and
-    unavailable responses are retried under seeded jittered backoff
-    (latency then spans all attempts) and only final failures count as
-    errors.
+    Each worker sends ``{"features": [row], "k": k}`` bodies back to
+    back.  Failed requests count as errors and do not contribute
+    latencies.  With a :class:`RetryPolicy`, shed and unavailable
+    responses are retried under seeded jittered backoff (latency then
+    spans all attempts) and only final failures count as errors.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
-    rng = np.random.default_rng(seed)
-    # Pre-build a payload ring per worker so the measurement loop does no
-    # numpy work of its own.
-    ring_size = 64
-    rings: List[List[Dict[str, Any]]] = []
-    for _worker in range(concurrency):
-        ring = []
-        for _ in range(ring_size):
-            if hot_fraction and rng.random() < hot_fraction:
-                row = feature_pool[int(rng.integers(0, min(hot_rows, len(feature_pool))))]
-            else:
-                row = feature_pool[int(rng.integers(0, len(feature_pool)))]
-            ring.append({"features": [row.tolist()], "k": k})
-        rings.append(ring)
-
-    latencies: List[List[float]] = [[] for _ in range(concurrency)]
-    errors = [0] * concurrency
-    retries = [0] * concurrency
-    traced: List[List[Tuple[float, str]]] = [[] for _ in range(concurrency)]
     stop = threading.Event()
-    barrier = threading.Barrier(concurrency + 1)
 
-    def worker(index: int) -> None:
-        try:
-            conn = target.connect()
-        except Exception:
-            # A worker that cannot even connect must not leave the
-            # barrier waiting forever: break it so everyone fails fast.
-            errors[index] += 1
-            barrier.abort()
-            return
-        ring = rings[index]
-        mine = latencies[index]
-        retry_rng = random.Random(seed * 7919 + index)
-        try:
-            barrier.wait()
-        except threading.BrokenBarrierError:
-            return
-        i = 0
-        while not stop.is_set():
-            started = time.perf_counter()
-            status, attempts = send_with_retries(
-                conn, ring[i % ring_size], retry_policy, retry_rng
-            )
-            elapsed = time.perf_counter() - started
-            retries[index] += attempts
-            if status == 200:
-                mine.append(elapsed)
-                trace_id = getattr(conn, "last_trace_id", None)
-                if trace_id:
-                    traced[index].append((elapsed, trace_id))
-            else:
-                errors[index] += 1
-            i += 1
+    def next_arrival() -> Optional[float]:
+        return None if stop.is_set() else time.perf_counter()
 
-    threads = [
-        threading.Thread(target=worker, args=(i,), daemon=True)
-        for i in range(concurrency)
-    ]
-    for thread in threads:
-        thread.start()
-    batches_before = target.batch_counts()
-    try:
-        barrier.wait(timeout=60.0)
-    except threading.BrokenBarrierError:
+    def run(_start: float) -> None:
+        time.sleep(duration_s)
         stop.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        return LoadReport(
-            requests=0,
-            errors=max(1, sum(errors)),
-            duration_s=0.0,
-            throughput_rps=0.0,
-            p50_ms=0.0,
-            p90_ms=0.0,
-            p99_ms=0.0,
-            mean_latency_ms=0.0,
-            concurrency=concurrency,
-        )
-    started = time.perf_counter()
-    time.sleep(duration_s)
-    stop.set()
-    for thread in threads:
-        thread.join(timeout=30.0)
-    elapsed = time.perf_counter() - started
 
-    all_latencies = np.array(
-        [value for worker_latencies in latencies for value in worker_latencies]
-    )
-    requests = int(all_latencies.size)
-    if requests:
-        p50, p90, p99 = (
-            float(np.percentile(all_latencies, q) * 1e3) for q in (50, 90, 99)
-        )
-        mean_ms = float(all_latencies.mean() * 1e3)
-    else:
-        p50 = p90 = p99 = mean_ms = 0.0
-    return LoadReport(
-        requests=requests,
-        errors=sum(errors),
-        duration_s=elapsed,
-        throughput_rps=requests / elapsed if elapsed > 0 else 0.0,
-        p50_ms=p50,
-        p90_ms=p90,
-        p99_ms=p99,
-        mean_latency_ms=mean_ms,
-        concurrency=concurrency,
-        mean_batch_rows=_mean_batch_rows(batches_before, target.batch_counts()),
-        retries=sum(retries),
-        **_trace_summary(traced),
-    )
+    rings = _payload_rings(feature_pool, concurrency, k, hot_fraction, hot_rows, seed)
+    return _drive(target, rings, next_arrival, run, seed, retry_policy)
 
 
-def _trace_summary(
-    traced: List[List[Tuple[float, str]]], top_n: int = 8
-) -> Dict[str, Any]:
-    """The ``traced_requests`` / ``slowest_traces`` report fields."""
-    flat = [pair for worker_pairs in traced for pair in worker_pairs]
-    flat.sort(key=lambda pair: -pair[0])
-    return {
-        "traced_requests": len(flat),
-        "slowest_traces": [
-            {"latency_ms": round(latency * 1e3, 3), "trace_id": trace_id}
-            for latency, trace_id in flat[:top_n]
-        ],
-    }
+def _exponential_arrivals(
+    rate_rps: float, duration_s: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Homogeneous Poisson arrival times in ``(0, duration_s]`` from ``rng``.
+
+    Exponential gaps are drawn in chunks sized to cover the window in
+    one draw on average, and accumulated until it is covered.
+    """
+    block = max(16, int(rate_rps * duration_s * 1.25) + 16)
+    chunks: List[np.ndarray] = []
+    last = 0.0
+    while last <= duration_s:
+        times = last + np.cumsum(rng.exponential(1.0 / rate_rps, block))
+        chunks.append(times)
+        last = float(times[-1])
+    arrivals = np.concatenate(chunks)
+    return arrivals[arrivals <= duration_s]
 
 
 def poisson_schedule(
@@ -508,17 +532,7 @@ def poisson_schedule(
         raise ValueError("rate_rps must be > 0")
     if duration_s <= 0:
         raise ValueError("duration_s must be > 0")
-    rng = np.random.default_rng(seed)
-    block = max(16, int(rate_rps * duration_s * 1.25) + 16)
-    chunks: List[np.ndarray] = []
-    last = 0.0
-    while last <= duration_s:
-        gaps = rng.exponential(1.0 / rate_rps, block)
-        times = last + np.cumsum(gaps)
-        chunks.append(times)
-        last = float(times[-1])
-    arrivals = np.concatenate(chunks)
-    return arrivals[arrivals <= duration_s]
+    return _exponential_arrivals(rate_rps, duration_s, np.random.default_rng(seed))
 
 
 def burst_schedule(
@@ -549,16 +563,7 @@ def burst_schedule(
     if period_s <= 0:
         raise ValueError("period_s must be > 0")
     rng = np.random.default_rng(seed)
-    block = max(16, int(burst_rate_rps * duration_s * 1.25) + 16)
-    chunks: List[np.ndarray] = []
-    last = 0.0
-    while last <= duration_s:
-        gaps = rng.exponential(1.0 / burst_rate_rps, block)
-        times = last + np.cumsum(gaps)
-        chunks.append(times)
-        last = float(times[-1])
-    candidates = np.concatenate(chunks)
-    candidates = candidates[candidates <= duration_s]
+    candidates = _exponential_arrivals(burst_rate_rps, duration_s, rng)
     phase = np.mod(candidates, period_s)
     rate_at = np.where(
         phase < burst_fraction * period_s, burst_rate_rps, base_rate_rps
@@ -582,11 +587,9 @@ def run_open_loop(
     """Open-loop load: dispatch on ``schedule``, regardless of responses.
 
     A dispatcher walks the arrival schedule in real time and hands each
-    arrival to a pool of ``max_inflight`` sender threads (each owning a
-    persistent connection).  Latency is measured **from the scheduled
-    arrival time** to response completion, so if the gateway falls
-    behind the offered rate, the backlog shows up as latency — the
-    coordinated-omission-free measurement closed loops cannot give.
+    arrival to one of ``max_inflight`` senders.  Latency is measured
+    **from the scheduled arrival time**, so if the gateway falls behind
+    the offered rate, the backlog shows up as latency.
 
     ``max_inflight`` bounds concurrent outstanding requests; arrivals
     beyond it queue (and their queue wait is, correctly, part of their
@@ -598,99 +601,28 @@ def run_open_loop(
         raise ValueError("schedule must contain at least one arrival")
     if max_inflight < 1:
         raise ValueError("max_inflight must be >= 1")
-    rng = np.random.default_rng(seed)
-    ring_size = 64
-    ring: List[Dict[str, Any]] = []
-    for _ in range(ring_size):
-        if hot_fraction and rng.random() < hot_fraction:
-            row = feature_pool[int(rng.integers(0, min(hot_rows, len(feature_pool))))]
-        else:
-            row = feature_pool[int(rng.integers(0, len(feature_pool)))]
-        ring.append({"features": [row.tolist()], "k": k})
+    work: "queue.Queue[Optional[float]]" = queue.Queue()
 
-    work: "queue.Queue" = queue.Queue()
-    latencies: List[List[float]] = [[] for _ in range(max_inflight)]
-    errors = [0] * max_inflight
-    retries = [0] * max_inflight
-    traced: List[List[Tuple[float, str]]] = [[] for _ in range(max_inflight)]
-    connect_failed = threading.Event()
+    def run(start: float) -> None:
+        for scheduled_at in schedule:
+            delay = start + scheduled_at - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+            work.put(start + float(scheduled_at))
+        for _ in range(max_inflight):
+            work.put(None)
 
-    def sender(index: int) -> None:
-        try:
-            conn = target.connect()
-        except Exception:
-            connect_failed.set()
-            errors[index] += 1
-            # Keep draining so the dispatcher never blocks on a dead pool.
-            while work.get() is not None:
-                errors[index] += 1
-            return
-        mine = latencies[index]
-        retry_rng = random.Random(seed * 7919 + index)
-        while True:
-            item = work.get()
-            if item is None:
-                return
-            i, scheduled_at = item
-            status, attempts = send_with_retries(
-                conn, ring[i % ring_size], retry_policy, retry_rng
-            )
-            completed = time.perf_counter() - start
-            retries[index] += attempts
-            if status == 200:
-                mine.append(completed - scheduled_at)
-                trace_id = getattr(conn, "last_trace_id", None)
-                if trace_id:
-                    traced[index].append((completed - scheduled_at, trace_id))
-            else:
-                errors[index] += 1
-
-    threads = [
-        threading.Thread(target=sender, args=(i,), daemon=True)
-        for i in range(max_inflight)
-    ]
-    batches_before = target.batch_counts()
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for i, scheduled_at in enumerate(schedule):
-        delay = start + scheduled_at - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        work.put((i, float(scheduled_at)))
-    for _ in threads:
-        work.put(None)
-    for thread in threads:
-        thread.join(timeout=60.0)
-    elapsed = time.perf_counter() - start
-
-    all_latencies = np.array(
-        [value for sender_latencies in latencies for value in sender_latencies]
-    )
-    requests = int(all_latencies.size)
-    if requests:
-        p50, p90, p99 = (
-            float(np.percentile(all_latencies, q) * 1e3) for q in (50, 90, 99)
-        )
-        mean_ms = float(all_latencies.mean() * 1e3)
-    else:
-        p50 = p90 = p99 = mean_ms = 0.0
-    span = float(schedule[-1]) if schedule[-1] > 0 else elapsed
-    return LoadReport(
-        requests=requests,
-        errors=sum(errors),
-        duration_s=elapsed,
-        throughput_rps=requests / elapsed if elapsed > 0 else 0.0,
-        p50_ms=p50,
-        p90_ms=p90,
-        p99_ms=p99,
-        mean_latency_ms=mean_ms,
-        concurrency=max_inflight,
-        mean_batch_rows=_mean_batch_rows(batches_before, target.batch_counts()),
+    span = float(schedule[-1])
+    rings = _payload_rings(feature_pool, max_inflight, k, hot_fraction, hot_rows, seed)
+    return _drive(
+        target,
+        rings,
+        work.get,
+        run,
+        seed,
+        retry_policy,
         mode=mode,
         offered_rps=schedule.size / span if span > 0 else 0.0,
-        retries=sum(retries),
-        **_trace_summary(traced),
     )
 
 
@@ -699,8 +631,9 @@ def merge_report(path: str, key: str, payload: Dict[str, Any]) -> None:
 
     The benchmark and the HTTP load generator both write to
     ``.benchmarks/BENCH_server.json``; merging keeps one file with every
-    section.
-    The parent directory is created when missing.
+    section.  The write is atomic, so a merge that fails partway leaves
+    the previous report whole.  The parent directory is created when
+    missing.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     try:
@@ -711,9 +644,7 @@ def merge_report(path: str, key: str, payload: Dict[str, Any]) -> None:
     except (FileNotFoundError, json.JSONDecodeError):
         report = {}
     report[key] = payload
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_json(path, report, indent=2, sort_keys=True)
 
 
 def _fetch_healthz(url: str, timeout: float = 10.0) -> Dict[str, Any]:
@@ -731,7 +662,7 @@ def _fetch_healthz(url: str, timeout: float = 10.0) -> Dict[str, Any]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point: load-generate against a live gateway over HTTP."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro.server.loadgen",
+        prog="python benchmarks/gateway_load.py",
         description="Closed/open-loop load generator for the repro-serve gateway.",
     )
     parser.add_argument("--url", default="http://127.0.0.1:8035")
@@ -787,7 +718,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--output", default=None,
-        help=f"merge the report into this JSON file (e.g. {DEFAULT_REPORT})",
+        help="merge the report into this JSON file "
+        "(e.g. .benchmarks/BENCH_server.json)",
     )
     parser.add_argument(
         "--report-key", default="loadgen_http",
@@ -807,16 +739,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else None
     )
     target = HTTPTarget(args.url, timeout=args.timeout)
+    common = dict(
+        k=args.k, hot_fraction=args.hot_fraction, seed=args.seed,
+        retry_policy=retry_policy,
+    )
     if args.mode == "closed":
         report = run_load(
-            target,
-            pool,
-            duration_s=args.duration,
-            concurrency=args.concurrency,
-            k=args.k,
-            hot_fraction=args.hot_fraction,
-            seed=args.seed,
-            retry_policy=retry_policy,
+            target, pool, duration_s=args.duration,
+            concurrency=args.concurrency, **common,
         )
     else:
         if args.mode == "poisson":
@@ -824,23 +754,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             burst_rate = args.burst_rate if args.burst_rate is not None else 4.0 * args.rate
             schedule = burst_schedule(
-                args.rate,
-                burst_rate,
-                args.duration,
-                period_s=args.burst_period,
-                burst_fraction=args.burst_fraction,
-                seed=args.seed,
+                args.rate, burst_rate, args.duration, period_s=args.burst_period,
+                burst_fraction=args.burst_fraction, seed=args.seed,
             )
         report = run_open_loop(
-            target,
-            pool,
-            schedule,
-            k=args.k,
-            hot_fraction=args.hot_fraction,
-            seed=args.seed,
-            max_inflight=args.max_inflight,
-            mode=args.mode,
-            retry_policy=retry_policy,
+            target, pool, schedule, max_inflight=args.max_inflight,
+            mode=args.mode, **common,
         )
         print(
             f"open-loop {args.mode}: {schedule.size} scheduled arrivals "

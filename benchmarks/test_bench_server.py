@@ -45,12 +45,8 @@ from repro.core import (
 )
 from repro.data import generate_chronic_cohort, split_patients, standardize_features
 from repro.server import GatewayApp, ModelRegistry, publish_artifact, read_pool_state
-from repro.server.loadgen import (
-    HTTPTarget,
-    InprocTarget,
-    make_feature_pool,
-    run_load,
-)
+
+from gateway_load import HTTPTarget, InprocTarget, make_feature_pool, run_load
 
 SMOKE = os.environ.get("BENCH_SERVER_SMOKE") == "1"
 CONCURRENCY = 32

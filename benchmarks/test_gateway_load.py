@@ -1,6 +1,7 @@
-"""Load-generator unit tests (transport wiring, schedules, fast-paths)."""
+"""Load-generator tests: transport wiring, schedules, retries, reports."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -14,9 +15,14 @@ from repro.server import (
     build_server,
     serve_in_thread,
 )
-from repro.server.loadgen import (
+
+import gateway_load
+from gateway_load import (
+    RETRYABLE_STATUSES,
     HTTPTarget,
     InprocTarget,
+    RetryPolicy,
+    backoff_delay,
     batch_counts_from_metrics,
     burst_schedule,
     make_feature_pool,
@@ -24,6 +30,7 @@ from repro.server.loadgen import (
     poisson_schedule,
     run_load,
     run_open_loop,
+    send_with_retries,
 )
 
 
@@ -74,18 +81,26 @@ class TestRunLoad:
         assert report.mean_batch_rows == pytest.approx(rows_run / flushes_run)
         assert 1.0 <= report.mean_batch_rows <= 4.0
 
-    def test_unreachable_target_fails_fast_instead_of_hanging(self):
-        # Nothing listens on the discard port; every worker's connect
-        # fails, which must break the start barrier and return promptly
-        # (previously this dead-locked the caller forever).
-        report = run_load(
-            HTTPTarget("http://127.0.0.1:9"),
-            make_feature_pool(4),
-            duration_s=0.2,
-            concurrency=4,
-        )
+    @pytest.mark.parametrize("mode", ["closed", "open"])
+    def test_unreachable_target_fails_fast_instead_of_hanging(self, mode):
+        # Nothing listens on the discard port; every sender's connect
+        # fails, which must break the start barrier and return at once
+        # instead of running out the duration or the schedule.
+        target = HTTPTarget("http://127.0.0.1:9")
+        if mode == "closed":
+            report = run_load(
+                target, make_feature_pool(4), duration_s=0.2, concurrency=4
+            )
+        else:
+            report = run_open_loop(
+                target,
+                make_feature_pool(4),
+                poisson_schedule(50.0, 2.0, seed=1),
+                max_inflight=4,
+            )
         assert report.requests == 0
         assert report.errors >= 1
+        assert report.duration_s == 0.0
         assert report.throughput_rps == 0.0
 
     def test_validates_concurrency(self):
@@ -216,10 +231,21 @@ class TestHelpers:
         merge_report(str(path), "a", {"x": 1})
         merge_report(str(path), "b", {"y": 2})
         merge_report(str(path), "a", {"x": 3})
-        import json
-
         report = json.loads(path.read_text())
         assert report == {"a": {"x": 3}, "b": {"y": 2}}
+
+    def test_failed_merge_keeps_the_previous_report(self, tmp_path):
+        # The serializer raises partway through the second merge; an
+        # in-place rewrite would leave a torn file that the next merge
+        # reads as empty, silently dropping section "a".
+        path = tmp_path / "bench.json"
+        merge_report(str(path), "a", {"x": 1})
+        with pytest.raises(TypeError):
+            merge_report(str(path), "b", {"y": object()})
+        assert json.loads(path.read_text()) == {"a": {"x": 1}}
+        merge_report(str(path), "c", {"z": 2})
+        assert json.loads(path.read_text()) == {"a": {"x": 1}, "c": {"z": 2}}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json"]
 
     def test_http_target_rejects_non_http(self):
         with pytest.raises(ValueError):
@@ -244,3 +270,121 @@ class TestHelpers:
         # A single-process page has no repro_pool_ families.
         assert batch_counts_from_metrics(pages[1]) == (8.0, 1.0)
         assert batch_counts_from_metrics("") == (0.0, 0.0)
+
+
+class ScriptedConnection:
+    """A fake worker connection answering from a scripted status list."""
+
+    def __init__(self, statuses, hints=None):
+        self.statuses = list(statuses)
+        self.hints = list(hints or [])
+        self.calls = 0
+
+    def request_with_hint(self, payload):
+        self.calls += 1
+        status = self.statuses.pop(0)
+        hint = self.hints.pop(0) if self.hints else None
+        return status, hint
+
+
+@pytest.fixture()
+def rng():
+    return random.Random(11)
+
+
+# Backoff bases are tiny so the sleeps inside send_with_retries are
+# microseconds — these tests must stay fast.
+FAST = RetryPolicy(retries=2, backoff_s=1e-6, backoff_cap_s=1e-5)
+
+
+class TestSendWithRetries:
+    def test_success_first_try_uses_no_retries(self, rng):
+        conn = ScriptedConnection([200])
+        assert send_with_retries(conn, {}, FAST, rng) == (200, 0)
+
+    def test_shed_then_success(self, rng):
+        conn = ScriptedConnection([503, 200])
+        status, retries = send_with_retries(conn, {}, FAST, rng)
+        assert (status, retries) == (200, 1)
+        assert conn.calls == 2
+
+    def test_budget_exhausted_returns_last_status(self, rng):
+        conn = ScriptedConnection([503, 503, 503, 200])
+        status, retries = send_with_retries(conn, {}, FAST, rng)
+        assert (status, retries) == (503, 2)  # 1 try + 2 retries, gave up
+        assert conn.calls == 3
+
+    @pytest.mark.parametrize("status", sorted(RETRYABLE_STATUSES))
+    def test_retryable_statuses(self, rng, status):
+        conn = ScriptedConnection([status, 200])
+        assert send_with_retries(conn, {}, FAST, rng) == (200, 1)
+
+    @pytest.mark.parametrize("status", [400, 404, 500])
+    def test_non_retryable_statuses_fail_fast(self, rng, status):
+        conn = ScriptedConnection([status, 200])
+        assert send_with_retries(conn, {}, FAST, rng) == (status, 0)
+        assert conn.calls == 1
+
+    def test_no_policy_means_fire_once(self, rng):
+        conn = ScriptedConnection([503, 200])
+        assert send_with_retries(conn, {}, None, rng) == (503, 0)
+        assert conn.calls == 1
+
+    def test_server_hint_floors_the_backoff(self, rng, monkeypatch):
+        slept = []
+        monkeypatch.setattr(gateway_load.time, "sleep", slept.append)
+        conn = ScriptedConnection([503, 200], hints=[0.25, None])
+        status, retries = send_with_retries(conn, {}, FAST, rng)
+        assert (status, retries) == (200, 1)
+        assert slept == [0.25]  # tiny jitter ceiling, hint dominates
+
+
+class TestInprocTargetHints:
+    def test_request_with_hint_surfaces_retry_after(self, monkeypatch):
+        class FakeApp:
+            def suggest(self, payload):
+                return 503, {"error": "shed", "retry_after_s": 0.7}
+
+        target = InprocTarget(FakeApp())
+        conn = target.connect()
+        assert conn.request_with_hint({}) == (503, 0.7)
+
+    def test_request_with_hint_none_on_success(self):
+        class FakeApp:
+            def suggest(self, payload):
+                return 200, {"suggestions": [[1, 2, 3]]}
+
+        target = InprocTarget(FakeApp())
+        assert target.connect().request_with_hint({}) == (200, None)
+
+
+class TestBackoffDelay:
+    def test_deterministic_for_a_seeded_rng(self):
+        a = [backoff_delay(i, 0.1, random.Random(3)) for i in range(5)]
+        b = [backoff_delay(i, 0.1, random.Random(3)) for i in range(5)]
+        assert a == b
+
+    def test_bounded_by_exponential_ceiling(self):
+        rng = random.Random(0)
+        for attempt in range(10):
+            delay = backoff_delay(attempt, 0.1, rng, cap_s=2.0)
+            assert 0.0 <= delay <= min(2.0, 0.1 * 2**attempt)
+
+    def test_cap_limits_growth(self):
+        rng = random.Random(0)
+        assert all(
+            backoff_delay(attempt, 1.0, rng, cap_s=3.0) <= 3.0
+            for attempt in range(20)
+        )
+
+    def test_never_undercuts_retry_after(self):
+        rng = random.Random(0)
+        for attempt in range(6):
+            delay = backoff_delay(
+                attempt, 0.001, rng, retry_after_s=1.5
+            )
+            assert delay >= 1.5
+
+    def test_negative_attempt_rejected(self):
+        with pytest.raises(ValueError):
+            backoff_delay(-1, 0.1, random.Random(0))

@@ -3,7 +3,8 @@
 The offline environment lacks the ``wheel`` package, so ``pip install -e .``
 cannot complete; ``python setup.py develop`` works, but this shim makes the
 test-suite robust either way.  Also holds the fixtures that ``tests/`` and
-``benchmarks/`` share.
+``benchmarks/`` share: the density-rule switch and one tiny fitted system
+(120 patients, hidden 16, short epochs; well under a second to fit).
 """
 
 import contextlib
@@ -43,3 +44,32 @@ def representation():
             yield
 
     return force
+
+
+@pytest.fixture(scope="session")
+def fitted_system():
+    """(fitted DSSDDI, standardized held-out features) at toy scale."""
+    from repro.core import DSSDDI, DSSDDIConfig, DDIGCNConfig, MDGCNConfig
+    from repro.data import generate_chronic_cohort, split_patients, standardize_features
+
+    cohort = generate_chronic_cohort(num_patients=120, seed=5)
+    x = standardize_features(cohort.features)
+    split = split_patients(120, seed=1)
+    config = DSSDDIConfig(
+        ddi=DDIGCNConfig(epochs=10, hidden_dim=16),
+        md=MDGCNConfig(epochs=30, hidden_dim=16),
+    )
+    system = DSSDDI(config)
+    system.fit(x[split.train], cohort.medications[split.train], cohort.ddi)
+    return system, x[split.test]
+
+
+@pytest.fixture(scope="session")
+def model_root(fitted_system, tmp_path_factory):
+    """An artifact root with one published version of the tiny system."""
+    from repro.server import publish_artifact
+
+    system, _pool = fitted_system
+    root = tmp_path_factory.mktemp("registry") / "models"
+    publish_artifact(system, root)
+    return root

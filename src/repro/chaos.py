@@ -99,7 +99,6 @@ KNOWN_SITES: Dict[str, str] = {
     "manifest.write": "repro.pipeline.manifest",
     "artifact.save": "repro.serving.artifact",
     "registry.publish": "repro.server.registry",
-    "bench.merge": "repro.server.loadgen",
     "trace.export": "repro.obs.cli",
 }
 

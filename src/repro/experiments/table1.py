@@ -16,7 +16,6 @@ from ..pipeline import experiment, stage
 from .common import (
     ChronicExperimentData,
     Scale,
-    TABLE1_METHODS,
     format_table,
     load_chronic,
     run_methods,

@@ -1,7 +1,7 @@
 """Online serving gateway: the network tier over :mod:`repro.serving`.
 
-PR 1 made fit-once/serve-many possible in-process; this package makes it
-a *service*: a threaded HTTP gateway that coalesces concurrent requests
+:mod:`repro.serving` makes fit-once/serve-many possible in-process; this
+package makes it a *service*: a threaded HTTP gateway that coalesces concurrent requests
 into the batched scorer, hot-swaps model versions without dropping a
 request, and exposes Prometheus metrics.
 
@@ -14,7 +14,7 @@ request, and exposes Prometheus metrics.
   transport-independent request handlers (deadline budgets, admission
   control, degraded mode).
 * :mod:`repro.server.resilience` — :class:`CircuitBreaker` around the
-  scoring path plus the jittered retry backoff the load generator uses.
+  scoring path.
 * :mod:`repro.server.http` — the stdlib threaded HTTP shim (with
   inherited-socket support and graceful-drain request tracking).
 * :mod:`repro.server.pool` — the pre-fork worker pool: one shared
@@ -22,8 +22,6 @@ request, and exposes Prometheus metrics.
 * :mod:`repro.server.stats` — the pool's cross-process stats board
   (per-worker metrics snapshots merged into ``repro_pool_*`` families).
   The metrics registry itself is :mod:`repro.obs.metrics`.
-* :mod:`repro.server.loadgen` — closed- and open-loop load generator
-  writing ``.benchmarks/BENCH_server.json``.
 * :mod:`repro.server.cli` — the ``repro-serve`` console script.
 
 Quickstart::
@@ -59,11 +57,6 @@ from .registry import (
     publish_artifact,
     scan_versions,
 )
-
-# The load generator (repro.server.loadgen) is deliberately not imported
-# here: it doubles as a ``python -m repro.server.loadgen`` entry point,
-# and importing it from the package __init__ would shadow that module
-# execution (runpy's "found in sys.modules" warning).
 
 __all__ = [
     "ServerConfig",

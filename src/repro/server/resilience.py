@@ -1,28 +1,19 @@
-"""Resilience primitives for the gateway: circuit breaker + backoff.
+"""Circuit breaker for the gateway's scoring path.
 
-Two small, dependency-free pieces shared by the server and the load
-generator:
-
-* :class:`CircuitBreaker` — the classic closed / open / half-open state
-  machine around the scoring path.  Consecutive failures trip it open;
-  while open every request is rejected instantly (the gateway answers
-  503 + ``Retry-After`` instead of queueing doomed work behind a broken
-  model); after a cooldown exactly one probe request is let through and
-  its outcome decides between closing the breaker and re-opening it.
-* :func:`backoff_delay` — capped exponential backoff with full jitter
-  (delay drawn uniformly from ``[0, min(cap, base * 2**attempt)]``),
-  the retry schedule the load generator uses so that a shed burst does
-  not come back as a synchronized thundering herd.
-
-Both are deterministic under test: the breaker takes an injectable
-clock, the backoff takes an explicit ``random.Random``.
+:class:`CircuitBreaker` is the classic closed / open / half-open state
+machine.  Consecutive failures trip it open; while open every request is
+rejected instantly (the gateway answers 503 + ``Retry-After`` instead of
+queueing doomed work behind a broken model); after a cooldown exactly
+one probe request is let through and its outcome decides between
+closing the breaker and re-opening it.  It takes an injectable clock, so
+it is deterministic under test.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 #: Breaker states (exposed via :attr:`CircuitBreaker.state`).
 CLOSED = "closed"
@@ -138,25 +129,3 @@ class CircuitBreaker:
             if self._state == CLOSED:
                 return 0.0
             return max(0.0, self.cooldown_s - (self._clock() - self._opened_at))
-
-
-def backoff_delay(
-    attempt: int,
-    base_s: float,
-    rng,
-    cap_s: float = 30.0,
-    retry_after_s: Optional[float] = None,
-) -> float:
-    """Jittered exponential delay before retry number ``attempt`` (0-based).
-
-    Full jitter: uniform in ``[0, min(cap_s, base_s * 2**attempt)]``.
-    When the server sent a ``Retry-After`` hint, the delay never
-    undercuts it — the server knows when it expects to recover.
-    """
-    if attempt < 0:
-        raise ValueError("attempt must be >= 0")
-    ceiling = min(cap_s, base_s * (2.0 ** attempt))
-    delay = rng.uniform(0.0, ceiling)
-    if retry_after_s is not None:
-        delay = max(delay, float(retry_after_s))
-    return delay

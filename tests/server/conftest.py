@@ -1,9 +1,8 @@
-"""Shared fixtures for the gateway tests: one tiny fitted system.
+"""Shared fixtures for the gateway tests.
 
-The fit (120 patients, hidden 16, short epochs) takes well under a
-second; session scope shares it across every test module here.
-
-The pool tests additionally get ``pool_factory``: launch a real
+The tiny fitted system (``fitted_system``, ``model_root``) lives in the
+root ``conftest.py``, shared with ``benchmarks/``.  The pool tests get
+``pool_factory``: launch a real
 ``python -m repro.server <root> --workers N`` subprocess (a supervisor
 plus forked workers — pre-fork pools cannot be exercised from inside a
 threaded pytest process) and a :class:`PoolHandle` to talk to it.
@@ -23,9 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import DSSDDI, DSSDDIConfig, DDIGCNConfig, MDGCNConfig
-from repro.data import generate_chronic_cohort, split_patients, standardize_features
-from repro.server import publish_artifact, read_pool_state
+from repro.server import read_pool_state
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -192,27 +189,3 @@ def pool_factory(model_root, tmp_path):
                 pass
     if drain_failures:
         pytest.fail("; ".join(drain_failures))
-
-
-@pytest.fixture(scope="session")
-def fitted_system():
-    """(fitted DSSDDI, standardized held-out features) at toy scale."""
-    cohort = generate_chronic_cohort(num_patients=120, seed=5)
-    x = standardize_features(cohort.features)
-    split = split_patients(120, seed=1)
-    config = DSSDDIConfig(
-        ddi=DDIGCNConfig(epochs=10, hidden_dim=16),
-        md=MDGCNConfig(epochs=30, hidden_dim=16),
-    )
-    system = DSSDDI(config)
-    system.fit(x[split.train], cohort.medications[split.train], cohort.ddi)
-    return system, x[split.test]
-
-
-@pytest.fixture(scope="session")
-def model_root(fitted_system, tmp_path_factory):
-    """An artifact root with one published version of the tiny system."""
-    system, _pool = fitted_system
-    root = tmp_path_factory.mktemp("registry") / "models"
-    publish_artifact(system, root)
-    return root

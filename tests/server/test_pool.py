@@ -31,7 +31,6 @@ from repro.server import (
     read_pool_state,
     write_pool_state,
 )
-from repro.server.loadgen import make_feature_pool
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -256,7 +255,7 @@ class TestPoolSubprocess:
 
         # --- /metrics aggregates across processes ---------------------
         sent = 0
-        for row in make_feature_pool(x_pool.shape[1], pool_size=24, seed=3):
+        for row in np.random.default_rng(3).standard_normal((24, x_pool.shape[1])):
             status, _ = pool.post(
                 "/v1/suggest", {"features": [row.tolist()], "k": 2}
             )

@@ -1,6 +1,4 @@
-"""CircuitBreaker state machine and the jittered retry backoff."""
-
-import random
+"""CircuitBreaker state machine."""
 
 import pytest
 
@@ -9,7 +7,6 @@ from repro.server.resilience import (
     HALF_OPEN,
     OPEN,
     CircuitBreaker,
-    backoff_delay,
 )
 
 
@@ -132,35 +129,3 @@ class TestHalfOpenState:
         assert breaker.allow()
         breaker.record_success()
         assert breaker.state == CLOSED
-
-
-class TestBackoffDelay:
-    def test_deterministic_for_a_seeded_rng(self):
-        a = [backoff_delay(i, 0.1, random.Random(3)) for i in range(5)]
-        b = [backoff_delay(i, 0.1, random.Random(3)) for i in range(5)]
-        assert a == b
-
-    def test_bounded_by_exponential_ceiling(self):
-        rng = random.Random(0)
-        for attempt in range(10):
-            delay = backoff_delay(attempt, 0.1, rng, cap_s=2.0)
-            assert 0.0 <= delay <= min(2.0, 0.1 * 2**attempt)
-
-    def test_cap_limits_growth(self):
-        rng = random.Random(0)
-        assert all(
-            backoff_delay(attempt, 1.0, rng, cap_s=3.0) <= 3.0
-            for attempt in range(20)
-        )
-
-    def test_never_undercuts_retry_after(self):
-        rng = random.Random(0)
-        for attempt in range(6):
-            delay = backoff_delay(
-                attempt, 0.001, rng, retry_after_s=1.5
-            )
-            assert delay >= 1.5
-
-    def test_negative_attempt_rejected(self):
-        with pytest.raises(ValueError):
-            backoff_delay(-1, 0.1, random.Random(0))

@@ -7,8 +7,8 @@ PR 8 gave the repo structured logging (:mod:`repro.obs.log`) and spans
 lint walks every module under the source root and flags ``print(...)``
 calls, with two deliberate escapes:
 
-* **CLI modules** — files named ``cli.py``, ``__main__.py`` or
-  ``loadgen.py`` exist to talk to a human on stdout;
+* **CLI modules** — files named ``cli.py`` or ``__main__.py`` exist to
+  talk to a human on stdout;
 * the marker comment ``# lint: allow-print`` on the line (or the line
   above), for the rare justified exception — the marker forces the
   author to say so out loud.
@@ -30,8 +30,8 @@ import ast
 import sys
 from pathlib import Path
 
-#: Files whose whole purpose is stdout (argparse CLIs and the loadgen).
-ALLOWED_FILENAMES = {"cli.py", "__main__.py", "loadgen.py"}
+#: Files whose whole purpose is stdout (argparse CLIs).
+ALLOWED_FILENAMES = {"cli.py", "__main__.py"}
 
 #: Marker comment that declares one print as intentional.
 ALLOW_MARKER = "# lint: allow-print"
