@@ -10,14 +10,9 @@ import numpy as np
 import pytest
 
 from repro.causal import build_counterfactual_links, suggest_gammas
-from repro.core import DSSDDI, DDIModule, DDIGCNConfig
+from repro.core import DSSDDI, DDIModule, DDIGCNConfig, MSConfig, MSModule
 from repro.experiments import dssddi_config
-from repro.metrics import (
-    cosine_similarity_matrix,
-    ndcg_at_k,
-    offdiagonal_mean,
-    suggestion_satisfaction,
-)
+from repro.metrics import cosine_similarity_matrix, ndcg_at_k, offdiagonal_mean
 
 
 class TestDeltaSweep:
@@ -116,8 +111,9 @@ class TestAlphaBalance:
         def sweep():
             gaps = {}
             for alpha in (0.25, 0.5, 0.75):
-                syn = suggestion_satisfaction(graph, synergy_pair, alpha=alpha).value
-                ant = suggestion_satisfaction(graph, antagonism_pair, alpha=alpha).value
+                module = MSModule(graph, MSConfig(alpha=alpha))
+                syn = module.explain(synergy_pair).satisfaction.value
+                ant = module.explain(antagonism_pair).satisfaction.value
                 gaps[alpha] = syn - ant
             return gaps
 

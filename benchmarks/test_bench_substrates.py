@@ -55,7 +55,8 @@ class TestGraphAlgorithms:
 
         comp = max(connected_components(ddi_unsigned), key=len)
         query = comp[:3]
-        result = benchmark(closest_truss_community, ddi_unsigned, query)
+        truss = truss_decomposition(ddi_unsigned)
+        result = benchmark(closest_truss_community, ddi_unsigned, truss, query, 60)
         assert result is not None
         assert set(query) <= set(result.nodes)
 

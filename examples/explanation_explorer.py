@@ -12,7 +12,7 @@ Usage::
 
 from repro.core import MSModule
 from repro.data import drug_names, generate_ddi
-from repro.graph import truss_decomposition
+from repro.graph import diameter, truss_decomposition
 
 
 def main() -> None:
@@ -42,7 +42,8 @@ def main() -> None:
             continue
         print(
             f"  community: {len(community.nodes)} drugs, "
-            f"{community.trussness}-truss, diameter {community.diameter:.0f}"
+            f"{community.trussness}-truss, "
+            f"diameter {diameter(unsigned, community.nodes):.0f}"
         )
         explanation = ms.explain(suggestion, drug_names=names)
         print("  " + explanation.render().replace("\n", "\n  "))

@@ -20,7 +20,6 @@ import numpy as np
 from repro import DSSDDI, generate_chronic_cohort, split_patients
 from repro.core import DSSDDIConfig
 from repro.data import drug_names, standardize_features
-from repro.metrics import suggestion_satisfaction
 
 
 def antagonistic_pairs(graph, drugs):
@@ -62,10 +61,10 @@ def main() -> None:
         for u, v in conflicts:
             print(f"  !! antagonism: {names[u]} <-> {names[v]}")
 
-        current_ss = suggestion_satisfaction(graph, current).value
+        current_ss = system.explain(current).satisfaction.value
         suggestion = system.suggest(features[patient_idx : patient_idx + 1],
                                     k=len(current))[0]
-        suggested_ss = suggestion_satisfaction(graph, suggestion).value
+        suggested_ss = system.explain(suggestion).satisfaction.value
         remaining = antagonistic_pairs(graph, suggestion)
 
         print(f"  current regimen:   SS={current_ss:.4f}, "

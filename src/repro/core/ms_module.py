@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..graph import CTCResult, SignedGraph, closest_truss_community
-from ..metrics import SatisfactionBreakdown, suggestion_pairs
+import numpy as np
+
+from ..graph import CTCResult, SignedGraph, closest_truss_community, truss_decomposition
+from ..metrics import SatisfactionBreakdown, suggestion_pairs, top_k_indices
 from .config import MSConfig
 
 
@@ -104,6 +106,10 @@ class MSModule:
     ``drug_names`` given at construction become the default rendering
     names, making :meth:`explain` a pure function of the suggested drug
     set — the property the serving layer's explanation cache relies on.
+
+    The unsigned view of the DDI graph and its truss numbers (line 1 of
+    Algorithm 1) do not depend on the query, so they are built once here
+    and every community search reads them.
     """
 
     def __init__(
@@ -117,11 +123,12 @@ class MSModule:
         self.ddi = ddi
         self.drug_names = dict(drug_names) if drug_names else {}
         self._unsigned = ddi.to_unsigned()
+        self._truss = truss_decomposition(self._unsigned)
 
     def query_subgraph(self, suggested: Sequence[int]) -> Optional[CTCResult]:
         """Algorithm 1: closest truss community around the suggested drugs."""
         return closest_truss_community(
-            self._unsigned, list(suggested), size_budget=self.config.size_budget
+            self._unsigned, self._truss, list(suggested), self.config.size_budget
         )
 
     def explain(
@@ -148,3 +155,17 @@ class MSModule:
             satisfaction=pairs.satisfaction(self.config.alpha),
             drug_names=drug_names if drug_names is not None else self.drug_names,
         )
+
+    def satisfaction_at_k(
+        self, scores: np.ndarray, k: int, max_patients: Optional[int] = None
+    ) -> float:
+        """SS@k (Table III): mean SS of each patient's top-k suggestion.
+
+        ``max_patients`` caps the evaluation for speed; the deterministic
+        first rows are used so results stay reproducible.
+        """
+        scores = np.asarray(scores)
+        if max_patients is not None:
+            scores = scores[:max_patients]
+        top = top_k_indices(scores, k)
+        return float(np.mean([self.explain(row).satisfaction.value for row in top]))

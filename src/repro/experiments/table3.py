@@ -11,7 +11,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..metrics import mean_satisfaction_at_k
+from ..core import MSModule
 from ..pipeline import experiment, stage
 from .common import (
     ChronicExperimentData,
@@ -71,10 +71,10 @@ def compute_table3(
     max_patients: int = 40,
 ) -> Table3Result:
     """Metric phase: SS@k per method over shared score matrices."""
-    graph = data.cohort.ddi.graph
+    module = MSModule(data.cohort.ddi.graph)
     satisfaction = {
         name: {
-            k: mean_satisfaction_at_k(graph, score, k, max_patients=max_patients)
+            k: module.satisfaction_at_k(score, k, max_patients=max_patients)
             for k in ks
         }
         for name, score in scores.items()

@@ -7,21 +7,13 @@ bipartite medication-use graphs used by the learning modules.
 
 from .graph import BipartiteGraph, Edge, Graph, SignedGraph, edge_key
 from .triangles import all_edge_supports, count_triangles, edge_support, triangles
-from .truss import (
-    is_p_truss,
-    max_truss_subgraph,
-    peel_to_p_truss,
-    truss_decomposition,
-)
+from .truss import is_p_truss, peel_to_p_truss, truss_decomposition
 from .shortest import (
     bfs_distances,
-    component_containing,
     connected_components,
     diameter,
     graph_query_distance,
     is_connected_subset,
-    query_distance,
-    shortest_path,
 )
 from .steiner import steiner_tree, truss_distance_weight, uniform_weight
 from .ctc import CTCResult, closest_truss_community
@@ -37,16 +29,12 @@ __all__ = [
     "triangles",
     "count_triangles",
     "truss_decomposition",
-    "max_truss_subgraph",
     "is_p_truss",
     "peel_to_p_truss",
     "bfs_distances",
-    "shortest_path",
     "is_connected_subset",
     "connected_components",
-    "component_containing",
     "diameter",
-    "query_distance",
     "graph_query_distance",
     "steiner_tree",
     "uniform_weight",

@@ -1,10 +1,10 @@
 """Closest Truss Community search — Algorithm 1 of the paper.
 
-Given the DDI graph G and the suggested drugs Q, find a connected p-truss
-containing Q with large p and small query distance (a proxy for diameter,
-following Huang et al. [22]):
+Given the DDI graph G, its truss numbers and the suggested drugs Q, find a
+connected p-truss containing Q with large p and small query distance (a
+proxy for diameter, following Huang et al. [22]):
 
-1. truss-decompose G,
+1. truss-decompose G (once per graph, by the caller),
 2. compute a Steiner tree T_s over Q using truss distances,
 3. greedily grow T_s with adjacent edges whose truss number is at least the
    minimum truss number of T_s, up to a size budget (the "bulk" phase),
@@ -17,15 +17,10 @@ following Huang et al. [22]):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .graph import Edge, Graph, edge_key
-from .shortest import (
-    bfs_distances,
-    diameter,
-    graph_query_distance,
-    is_connected_subset,
-)
+from .shortest import bfs_distances, graph_query_distance, is_connected_subset
 from .steiner import steiner_tree, truss_distance_weight
 from .truss import peel_to_p_truss, truss_decomposition
 
@@ -37,14 +32,12 @@ class CTCResult:
     Attributes:
         nodes: community members (includes every query node on success).
         trussness: the p of the p-truss condition the community satisfies.
-        diameter: diameter of the induced subgraph.
         query_distance: max distance from any member to the query set.
         edges: edges of the induced subgraph.
     """
 
     nodes: List[int]
     trussness: int
-    diameter: float
     query_distance: float
     edges: List[Edge] = field(default_factory=list)
 
@@ -82,13 +75,16 @@ def _component_with_query(graph: Graph, nodes: Set[int], query: Sequence[int]) -
 
 def closest_truss_community(
     graph: Graph,
+    truss: Dict[Edge, int],
     query: Sequence[int],
-    size_budget: int = 60,
+    size_budget: int,
 ) -> Optional[CTCResult]:
     """Run Algorithm 1; returns None when the query is not connectable.
 
     Args:
         graph: the (unsigned) DDI graph.
+        truss: ``truss_decomposition(graph)``, line 1 of Algorithm 1; it
+            does not depend on the query, so callers compute it once.
         query: suggested drug ids Q.
         size_budget: n0 of Algorithm 1 — bulk growth stops at this many edges
             beyond the Steiner tree.
@@ -102,10 +98,8 @@ def closest_truss_community(
 
     if len(query) == 1 and graph.degree(query[0]) == 0:
         # An isolated suggested drug explains itself: trivial community.
-        return CTCResult(nodes=list(query), trussness=2, diameter=0.0, query_distance=0.0)
+        return CTCResult(nodes=list(query), trussness=2, query_distance=0.0)
 
-    # Line 1: truss decomposition on G.
-    truss = truss_decomposition(graph)
     max_truss = max(truss.values(), default=2)
 
     # Line 2: Steiner tree under truss distance.
@@ -155,7 +149,7 @@ def closest_truss_community(
         for u, v in keep:
             sub.add_edge(u, v)
         members = _component_with_query(sub, {n for e in keep for n in e} | set(query), query)
-        if members is not None and _covers_query_links(sub, members, query):
+        if members is not None:
             best_p = p
             break
 
@@ -172,7 +166,7 @@ def closest_truss_community(
             return None
 
     # Lines 10-14: shrink by removing furthest nodes while keeping Q connected.
-    best = _snapshot(graph, current, members, query, best_p)
+    best = _snapshot(current, members, query, best_p)
     while True:
         distances = _query_distances(current, members, query)
         if not distances:
@@ -193,15 +187,11 @@ def closest_truss_community(
             break
         members = surviving
         current = candidate
-        snapshot = _snapshot(graph, current, members, query, best_p)
+        snapshot = _snapshot(current, members, query, best_p)
         if snapshot.query_distance <= best.query_distance:
             best = snapshot
 
     return best
-
-
-def _covers_query_links(graph: Graph, members: Set[int], query: Sequence[int]) -> bool:
-    return set(query) <= members
 
 
 def _query_distances(graph: Graph, members: Set[int], query: Sequence[int]) -> Dict[int, float]:
@@ -218,15 +208,12 @@ def _query_distances(graph: Graph, members: Set[int], query: Sequence[int]) -> D
     return distances
 
 
-def _snapshot(
-    original: Graph, current: Graph, members: Set[int], query: Sequence[int], p: int
-) -> CTCResult:
+def _snapshot(current: Graph, members: Set[int], query: Sequence[int], p: int) -> CTCResult:
     member_list = sorted(members)
     edges = _induced_edges(current, members)
     return CTCResult(
         nodes=member_list,
         trussness=p,
-        diameter=diameter(current, member_list),
         query_distance=graph_query_distance(current, member_list, list(query)),
         edges=edges,
     )

@@ -1,4 +1,4 @@
-"""BFS shortest paths, diameters and query distances.
+"""BFS distances, connectivity, diameters and query distances.
 
 The Closest Truss Community definition (Definition 6) minimizes the
 subgraph diameter; the shrink loop of Algorithm 1 deletes the nodes
@@ -8,7 +8,7 @@ furthest from the query set.  Both need plain BFS machinery.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .graph import Graph
 
@@ -27,26 +27,6 @@ def bfs_distances(graph: Graph, source: int) -> List[float]:
                 dist[neighbor] = dist[node] + 1.0
                 queue.append(neighbor)
     return dist
-
-
-def shortest_path(graph: Graph, source: int, target: int) -> Optional[List[int]]:
-    """One shortest path from source to target, or None if disconnected."""
-    if source == target:
-        return [source]
-    parent: Dict[int, int] = {source: source}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in parent:
-                parent[neighbor] = node
-                if neighbor == target:
-                    path = [target]
-                    while path[-1] != source:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                queue.append(neighbor)
-    return None
 
 
 def is_connected_subset(graph: Graph, nodes: Sequence[int]) -> bool:
@@ -87,20 +67,6 @@ def connected_components(graph: Graph) -> List[List[int]]:
     return components
 
 
-def component_containing(graph: Graph, nodes: Iterable[int]) -> Optional[List[int]]:
-    """The component containing all of ``nodes``, or None if they are split."""
-    targets = set(nodes)
-    if not targets:
-        return None
-    for component in connected_components(graph):
-        comp_set = set(component)
-        if targets <= comp_set:
-            return component
-        if targets & comp_set:
-            return None  # query nodes split across components
-    return None
-
-
 def diameter(graph: Graph, nodes: Optional[Sequence[int]] = None) -> float:
     """Diameter of the induced subgraph on ``nodes`` (whole graph if None).
 
@@ -116,17 +82,6 @@ def diameter(graph: Graph, nodes: Optional[Sequence[int]] = None) -> float:
             if dist[other] == _INF:
                 return _INF
             best = max(best, dist[other])
-    return best
-
-
-def query_distance(graph: Graph, node: int, query: Sequence[int]) -> float:
-    """dist(node, Q) = max over q in Q of d(node, q) — Algorithm 1's metric."""
-    best = 0.0
-    for q in query:
-        dist = bfs_distances(graph, q)[node]
-        if dist == _INF:
-            return _INF
-        best = max(best, dist)
     return best
 
 

@@ -64,16 +64,6 @@ def truss_decomposition(graph: Graph) -> Dict[Edge, int]:
     return truss
 
 
-def max_truss_subgraph(graph: Graph, p: int) -> Graph:
-    """The maximal p-truss subgraph: all edges with truss number >= p."""
-    truss = truss_decomposition(graph)
-    sub = Graph(graph.num_nodes)
-    for (u, v), value in truss.items():
-        if value >= p:
-            sub.add_edge(u, v)
-    return sub
-
-
 def is_p_truss(graph: Graph, p: int) -> bool:
     """Check Definition 5 directly: every edge supported by >= p - 2 triangles."""
     supports = all_edge_supports(graph)

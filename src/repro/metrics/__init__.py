@@ -11,9 +11,7 @@ from .ranking import (
 from .satisfaction import (
     SatisfactionBreakdown,
     SuggestionPairs,
-    mean_satisfaction_at_k,
     suggestion_pairs,
-    suggestion_satisfaction,
 )
 from .similarity import cosine_similarity_matrix, offdiagonal_mean, smoothing_report
 
@@ -24,9 +22,7 @@ __all__ = [
     "ndcg_at_k",
     "RankingReport",
     "ranking_report",
-    "suggestion_satisfaction",
     "suggestion_pairs",
-    "mean_satisfaction_at_k",
     "SatisfactionBreakdown",
     "SuggestionPairs",
     "cosine_similarity_matrix",

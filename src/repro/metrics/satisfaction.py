@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..graph import SignedGraph, closest_truss_community
+from ..graph import SignedGraph
 
 
 @dataclass
@@ -77,17 +75,6 @@ class SuggestionPairs:
         )
 
 
-def _checked_suggestion(ddi: SignedGraph, suggested: Sequence[int]) -> List[int]:
-    """Sorted, duplicate-free drug ids; raises on an empty or out-of-range one."""
-    suggested = sorted(set(int(s) for s in suggested))
-    if not suggested:
-        raise ValueError("need at least one suggested drug")
-    for s in suggested:
-        if not 0 <= s < ddi.num_nodes:
-            raise IndexError(f"drug {s} out of range")
-    return suggested
-
-
 def suggestion_pairs(
     ddi: SignedGraph,
     suggested: Sequence[int],
@@ -100,9 +87,15 @@ def suggestion_pairs(
     members fall back to the suggested drugs and their direct DDI
     neighbours.  Pairs inside the suggestion count as synergy or
     antagonism within it; antagonistic pairs with one non-suggested
-    member count as avoided antagonism.
+    member count as avoided antagonism.  Raises on an empty suggestion or
+    an out-of-range drug id.
     """
-    suggested = _checked_suggestion(ddi, suggested)
+    suggested = sorted(set(int(s) for s in suggested))
+    if not suggested:
+        raise ValueError("need at least one suggested drug")
+    for s in suggested:
+        if not 0 <= s < ddi.num_nodes:
+            raise IndexError(f"drug {s} out of range")
     members = set(suggested)
     if community is None:
         for s in suggested:
@@ -125,50 +118,3 @@ def suggestion_pairs(
             elif u_in != v_in and sign == -1:
                 pairs.antagonism_avoided.append((u, v))
     return pairs
-
-
-def suggestion_satisfaction(
-    ddi: SignedGraph,
-    suggested: Sequence[int],
-    alpha: float = 0.5,
-    subgraph_nodes: Optional[Sequence[int]] = None,
-) -> SatisfactionBreakdown:
-    """Compute SS for one suggestion.
-
-    Args:
-        ddi: signed DDI graph.
-        suggested: the k suggested drug ids.
-        alpha: balance between in-suggestion synergy and out-of-suggestion
-            antagonism terms.
-        subgraph_nodes: the closest-dense-subgraph members; computed via
-            :func:`repro.graph.closest_truss_community` when omitted.
-    """
-    suggested = _checked_suggestion(ddi, suggested)
-    if subgraph_nodes is None:
-        community = closest_truss_community(ddi.to_unsigned(), suggested)
-        subgraph_nodes = None if community is None else community.nodes
-    return suggestion_pairs(ddi, suggested, subgraph_nodes).satisfaction(alpha)
-
-
-def mean_satisfaction_at_k(
-    ddi: SignedGraph,
-    scores: np.ndarray,
-    k: int,
-    alpha: float = 0.5,
-    max_patients: Optional[int] = None,
-) -> float:
-    """SS@k: average SS of the top-k suggestion over (a sample of) patients.
-
-    ``max_patients`` caps the evaluation for speed; the deterministic first
-    rows are used so results stay reproducible.
-    """
-    from .ranking import top_k_indices
-
-    scores = np.asarray(scores)
-    rows = scores.shape[0] if max_patients is None else min(scores.shape[0], max_patients)
-    top = top_k_indices(scores[:rows], k)
-    values = [
-        suggestion_satisfaction(ddi, top[i].tolist(), alpha=alpha).value
-        for i in range(rows)
-    ]
-    return float(np.mean(values))

@@ -370,21 +370,6 @@ class ModelRegistry:
         """Scan the artifact root (oldest first)."""
         return scan_versions(self.root)
 
-    def target_version(self) -> ModelVersion:
-        """The version the registry should be serving right now."""
-        versions = self.versions()
-        if not versions:
-            raise NoModelError(f"no model versions under {self.root}")
-        if self.pinned_version is not None:
-            for version in versions:
-                if version.name == self.pinned_version:
-                    return version
-            raise NoModelError(
-                f"pinned version {self.pinned_version!r} not found under "
-                f"{self.root} (have: {[v.name for v in versions]})"
-            )
-        return versions[-1]
-
     def active(self) -> ServingHandle:
         """The currently served handle (raises :class:`NoModelError`)."""
         handle = self._active

@@ -257,19 +257,14 @@ def verify_arrays(
     return True
 
 
-def verify_artifact(path: PathLike) -> bool:
-    """Full integrity check of an artifact directory.
+def _read_manifest(path: Path) -> Dict:
+    """The manifest of the artifact at ``path``, checked to be readable.
 
-    Reads the manifest and every array and compares digests.  Returns
-    ``True`` if digests were verified, ``False`` for legacy digest-less
-    artifacts.  Raises :class:`ArtifactIntegrityError` on corruption,
-    ``FileNotFoundError``/``ValueError`` on structurally broken or
-    unreadable artifacts — the registry maps any of these to quarantine.
+    Raises ``FileNotFoundError`` unless both artifact files exist and
+    ``ValueError`` on a format version this build cannot read.
     """
-    path = Path(path)
     manifest_path = path / MANIFEST_NAME
-    arrays_path = path / ARRAYS_NAME
-    if not manifest_path.is_file() or not arrays_path.is_file():
+    if not manifest_path.is_file() or not (path / ARRAYS_NAME).is_file():
         raise FileNotFoundError(
             f"no DSSDDI artifact at {path} (expected {MANIFEST_NAME} "
             f"and {ARRAYS_NAME})"
@@ -282,7 +277,21 @@ def verify_artifact(path: PathLike) -> bool:
             f"unsupported artifact format version {version!r} "
             f"(this build reads versions {READABLE_VERSIONS})"
         )
-    arrays = load_arrays(arrays_path)
+    return manifest
+
+
+def verify_artifact(path: PathLike) -> bool:
+    """Full integrity check of an artifact directory.
+
+    Reads the manifest and every array and compares digests.  Returns
+    ``True`` if digests were verified, ``False`` for legacy digest-less
+    artifacts.  Raises :class:`ArtifactIntegrityError` on corruption,
+    ``FileNotFoundError``/``ValueError`` on structurally broken or
+    unreadable artifacts — the registry maps any of these to quarantine.
+    """
+    path = Path(path)
+    manifest = _read_manifest(path)
+    arrays = load_arrays(path / ARRAYS_NAME)
     return verify_arrays(arrays, manifest, source=path)
 
 
@@ -302,26 +311,11 @@ def load_system(
     bytes once, which for memory-mapped loads also pre-faults the pages.
     """
     path = Path(path)
-    manifest_path = path / MANIFEST_NAME
-    arrays_path = path / ARRAYS_NAME
-    if not manifest_path.is_file() or not arrays_path.is_file():
-        raise FileNotFoundError(
-            f"no DSSDDI artifact at {path} (expected {MANIFEST_NAME} "
-            f"and {ARRAYS_NAME})"
-        )
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    version = manifest.get("format_version")
-    if version not in READABLE_VERSIONS:
-        raise ValueError(
-            f"unsupported artifact format version {version!r} "
-            f"(this build reads versions {READABLE_VERSIONS})"
-        )
-
+    manifest = _read_manifest(path)
     config = DSSDDIConfig.from_dict(manifest["config"])
     config.validate()
 
-    arrays = load_arrays(arrays_path, mmap_mode=mmap_mode)
+    arrays = load_arrays(path / ARRAYS_NAME, mmap_mode=mmap_mode)
     if verify:
         verify_arrays(arrays, manifest, source=path)
 

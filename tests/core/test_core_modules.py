@@ -15,7 +15,7 @@ from repro.core import (
     MSModule,
 )
 from repro.data import generate_chronic_cohort, generate_ddi, standardize_features
-from repro.graph import SignedGraph, closest_truss_community
+from repro.graph import SignedGraph, closest_truss_community, truss_decomposition
 from repro.metrics import SatisfactionBreakdown
 
 
@@ -381,7 +381,10 @@ def _explain_reference(graph, suggested, alpha=0.5, size_budget=60):
     one classifies the pairs, the other counts them for Eq. 19 (each with
     its own neighbour fallback for a disconnected suggestion)."""
     suggested = sorted(set(suggested))
-    community = closest_truss_community(graph.to_unsigned(), suggested, size_budget)
+    unsigned = graph.to_unsigned()
+    community = closest_truss_community(
+        unsigned, truss_decomposition(unsigned), suggested, size_budget
+    )
     if community is None:
         members = set(suggested)
         for s in suggested:

@@ -15,7 +15,6 @@ from repro.graph import (
     all_edge_supports,
     bfs_distances,
     closest_truss_community,
-    component_containing,
     connected_components,
     count_triangles,
     diameter,
@@ -24,10 +23,7 @@ from repro.graph import (
     graph_query_distance,
     is_connected_subset,
     is_p_truss,
-    max_truss_subgraph,
     peel_to_p_truss,
-    query_distance,
-    shortest_path,
     steiner_tree,
     truss_decomposition,
     truss_distance_weight,
@@ -114,13 +110,6 @@ class TestTrussDecomposition:
         assert truss[edge_key(3, 4)] == 2
         assert truss[edge_key(4, 5)] == 2
 
-    def test_max_truss_subgraph_extracts_core(self):
-        g = complete_graph(4)
-        g = Graph.from_edges(6, list(g.edges()) + [(3, 4), (4, 5)])
-        core = max_truss_subgraph(g, 4)
-        assert core.num_edges == 6
-        assert core.degree(5) == 0
-
     def test_is_p_truss_definition(self):
         assert is_p_truss(complete_graph(4), 4)
         assert not is_p_truss(Graph.from_edges(3, [(0, 1), (1, 2)]), 3)
@@ -169,28 +158,10 @@ class TestShortestPaths:
         g.add_edge(0, 1)
         assert bfs_distances(g, 0)[2] == float("inf")
 
-    def test_shortest_path_endpoints(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        path = shortest_path(g, 0, 2)
-        assert path[0] == 0 and path[-1] == 2 and len(path) == 3
-
-    def test_shortest_path_none_when_disconnected(self):
-        g = Graph(3)
-        assert shortest_path(g, 0, 2) is None
-
-    def test_shortest_path_same_node(self):
-        g = Graph(2)
-        assert shortest_path(g, 1, 1) == [1]
-
     def test_connected_components(self):
         g = Graph.from_edges(5, [(0, 1), (2, 3)])
         comps = connected_components(g)
         assert [0, 1] in comps and [2, 3] in comps and [4] in comps
-
-    def test_component_containing(self):
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        assert component_containing(g, [0, 2]) == [0, 1, 2]
-        assert component_containing(g, [0, 3]) is None
 
     def test_is_connected_subset(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -206,11 +177,6 @@ class TestShortestPaths:
         g = Graph(3)
         g.add_edge(0, 1)
         assert diameter(g) == float("inf")
-
-    def test_query_distance(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert query_distance(g, 0, [3]) == 3.0
-        assert query_distance(g, 1, [0, 3]) == 2.0
 
     def test_graph_query_distance_subgraph(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -281,10 +247,20 @@ class TestSteinerTree:
             assert g.has_edge(u, v)
 
 
+def ctc(g: Graph, query):
+    """Algorithm 1 with the truss numbers of ``g`` and the default budget."""
+    return closest_truss_community(g, truss_decomposition(g), query, 60)
+
+
+def community_diameter(g: Graph, result) -> float:
+    """Diameter of the community over its own (p-truss) edges."""
+    return diameter(Graph.from_edges(g.num_nodes, result.edges), result.nodes)
+
+
 class TestClosestTrussCommunity:
     def test_k4_query_returns_k4(self):
         g = complete_graph(4)
-        result = closest_truss_community(g, [0, 1])
+        result = ctc(g, [0, 1])
         assert result is not None
         assert set(result.nodes) >= {0, 1}
         assert result.trussness == 4
@@ -294,7 +270,7 @@ class TestClosestTrussCommunity:
         # the tail into the community.
         g = complete_graph(4)
         g = Graph.from_edges(8, list(g.edges()) + [(3, 4), (4, 5), (5, 6), (6, 7)])
-        result = closest_truss_community(g, [0, 1])
+        result = ctc(g, [0, 1])
         assert result is not None
         assert set(result.nodes) == {0, 1, 2, 3}
 
@@ -302,22 +278,22 @@ class TestClosestTrussCommunity:
         g = Graph(4)
         g.add_edge(0, 1)
         g.add_edge(2, 3)
-        assert closest_truss_community(g, [0, 3]) is None
+        assert ctc(g, [0, 3]) is None
 
     def test_isolated_single_query(self):
         g = Graph(3)
         g.add_edge(1, 2)
-        result = closest_truss_community(g, [0])
+        result = ctc(g, [0])
         assert result is not None
         assert result.nodes == [0]
 
     def test_empty_query_raises(self):
         with pytest.raises(ValueError):
-            closest_truss_community(complete_graph(3), [])
+            ctc(complete_graph(3), [])
 
     def test_out_of_range_query_raises(self):
         with pytest.raises(IndexError):
-            closest_truss_community(complete_graph(3), [7])
+            ctc(complete_graph(3), [7])
 
     def test_result_contains_query_and_connected(self):
         rng = np.random.default_rng(0)
@@ -328,16 +304,17 @@ class TestClosestTrussCommunity:
                     g.add_edge(u, v)
         comp = max(connected_components(g), key=len)
         query = comp[:3]
-        result = closest_truss_community(g, query)
+        result = ctc(g, query)
         assert result is not None
         assert set(query) <= set(result.nodes)
         assert is_connected_subset(g, result.nodes) or len(result.nodes) == 1
 
     def test_result_diameter_finite(self):
         g = complete_graph(5)
-        result = closest_truss_community(g, [0, 4])
-        assert result.diameter < float("inf")
-        assert result.query_distance <= result.diameter
+        result = ctc(g, [0, 4])
+        span = community_diameter(g, result)
+        assert span < float("inf")
+        assert result.query_distance <= span
 
     @settings(max_examples=15, deadline=None)
     @given(random_graphs, st.data())
@@ -348,12 +325,13 @@ class TestClosestTrussCommunity:
         comp = comps[0]
         k = data.draw(st.integers(1, min(3, len(comp))))
         query = comp[:k]
-        result = closest_truss_community(g, query)
+        result = ctc(g, query)
         if result is None:
             return
         assert set(query) <= set(result.nodes)
         assert result.trussness >= 2
-        assert result.query_distance <= result.diameter or result.diameter == 0.0
+        span = community_diameter(g, result)
+        assert result.query_distance <= span or span == 0.0
         # every reported edge must exist in the original graph
         for u, v in result.edges:
             assert g.has_edge(u, v)

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import MSConfig, MSModule
 from repro.graph import SignedGraph
 from repro.metrics import (
     cosine_similarity_matrix,
-    mean_satisfaction_at_k,
     ndcg_at_k,
     offdiagonal_mean,
     precision_at_k,
     ranking_report,
     recall_at_k,
     smoothing_report,
-    suggestion_satisfaction,
+    suggestion_pairs,
     top_k_indices,
 )
 
@@ -142,22 +142,20 @@ class TestSuggestionSatisfaction:
 
     def test_synergistic_pair_better_than_antagonistic(self):
         g = self.graph()
-        syn = suggestion_satisfaction(g, [0, 1], subgraph_nodes=[0, 1, 2, 3])
-        ant = suggestion_satisfaction(g, [0, 2], subgraph_nodes=[0, 1, 2, 3])
+        syn = suggestion_pairs(g, [0, 1], [0, 1, 2, 3]).satisfaction(0.5)
+        ant = suggestion_pairs(g, [0, 2], [0, 1, 2, 3]).satisfaction(0.5)
         assert syn.value > ant.value
 
     def test_counts(self):
         g = self.graph()
-        result = suggestion_satisfaction(g, [0, 1], subgraph_nodes=[0, 1, 2, 3])
+        result = suggestion_pairs(g, [0, 1], [0, 1, 2, 3]).satisfaction(0.5)
         assert result.r_in_pos == 1
         assert result.r_in_neg == 0
         assert result.r_out_neg == 2  # 0-2 and 1-3
 
     def test_eq19_value(self):
         g = self.graph()
-        result = suggestion_satisfaction(
-            g, [0, 1], alpha=0.5, subgraph_nodes=[0, 1, 2, 3]
-        )
+        result = suggestion_pairs(g, [0, 1], [0, 1, 2, 3]).satisfaction(0.5)
         k, n_prime = 2, 4
         synergy_term = 2 * (1 + 1) / ((0 + 1) * (k * (k - 1) + 2))
         antagonism_term = 2 / (k * (n_prime - k))
@@ -165,38 +163,41 @@ class TestSuggestionSatisfaction:
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            suggestion_satisfaction(self.graph(), [0], alpha=0.0)
+            MSModule(self.graph(), MSConfig(alpha=0.0)).explain([0])
+        with pytest.raises(ValueError):
+            suggestion_pairs(self.graph(), [0], None).satisfaction(0.0)
 
     def test_empty_suggestion(self):
         with pytest.raises(ValueError):
-            suggestion_satisfaction(self.graph(), [])
+            MSModule(self.graph()).explain([])
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            suggestion_satisfaction(self.graph(), [9])
+            MSModule(self.graph()).explain([9])
 
     def test_single_drug(self):
-        result = suggestion_satisfaction(self.graph(), [4])
+        result = MSModule(self.graph()).explain([4]).satisfaction
         assert result.k == 1
         assert result.value > 0
 
     def test_auto_subgraph(self):
-        result = suggestion_satisfaction(self.graph(), [0, 1])
+        result = MSModule(self.graph()).explain([0, 1]).satisfaction
         assert result.subgraph_nodes >= 2
 
     def test_mean_satisfaction_at_k(self):
         g = self.graph()
         scores = np.array([[0.9, 0.8, 0.1, 0.1, 0.0], [0.9, 0.1, 0.8, 0.1, 0.0]])
-        value = mean_satisfaction_at_k(g, scores, 2)
-        a = suggestion_satisfaction(g, [0, 1]).value
-        b = suggestion_satisfaction(g, [0, 2]).value
+        module = MSModule(g)
+        value = module.satisfaction_at_k(scores, 2)
+        a = module.explain([0, 1]).satisfaction.value
+        b = module.explain([0, 2]).satisfaction.value
         assert value == pytest.approx((a + b) / 2)
 
     def test_max_patients_cap(self):
-        g = self.graph()
         scores = np.tile(np.array([[0.9, 0.8, 0.1, 0.1, 0.0]]), (10, 1))
-        full = mean_satisfaction_at_k(g, scores, 2)
-        capped = mean_satisfaction_at_k(g, scores, 2, max_patients=3)
+        module = MSModule(self.graph())
+        full = module.satisfaction_at_k(scores, 2)
+        capped = module.satisfaction_at_k(scores, 2, max_patients=3)
         assert full == pytest.approx(capped)
 
 

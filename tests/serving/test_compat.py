@@ -29,7 +29,7 @@ import pytest
 
 from repro.core import DSSDDI, DSSDDIConfig
 from repro.data import generate_chronic_cohort, split_patients, standardize_features
-from repro.serving import FORMAT_VERSION, load_system
+from repro.serving import FORMAT_VERSION, load_system, verify_artifact
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,10 @@ class TestCurrentSchema:
             loaded.predict_scores(x_test), system.predict_scores(x_test)
         )
 
-    def test_future_schema_is_rejected_cleanly(self, fitted, tmp_path):
+    @pytest.mark.parametrize(
+        "read", [load_system, verify_artifact], ids=lambda f: f.__name__
+    )
+    def test_future_schema_is_rejected_cleanly(self, fitted, tmp_path, read):
         system, _ = fitted
         system.save(tmp_path / "model")
         manifest_path = tmp_path / "model" / "manifest.json"
@@ -103,7 +106,7 @@ class TestCurrentSchema:
         manifest["format_version"] = FORMAT_VERSION + 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="unsupported artifact format"):
-            load_system(tmp_path / "model")
+            read(tmp_path / "model")
 
 
 class TestV1Backcompat:
