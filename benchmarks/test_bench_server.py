@@ -43,6 +43,7 @@ from repro.core import (
     MDGCNConfig,
     ServerConfig,
 )
+from repro.atomicio import atomic_write_json
 from repro.data import generate_chronic_cohort, split_patients, standardize_features
 from repro.server import GatewayApp, ModelRegistry, publish_artifact, read_pool_state
 
@@ -139,9 +140,9 @@ def _flush_results():
         existing = {}
     existing.update(RESULTS)
     os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)
-    with open(RESULTS_PATH, "w", encoding="utf-8") as fh:
-        json.dump(existing, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # Atomic, like gateway_load.merge_report: an interrupted run leaves
+    # the previous report whole.
+    atomic_write_json(RESULTS_PATH, existing, indent=2, sort_keys=True)
 
 
 @pytest.fixture(scope="module")

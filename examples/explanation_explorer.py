@@ -18,7 +18,7 @@ from repro.graph import diameter, truss_decomposition
 def main() -> None:
     ddi = generate_ddi(seed=7)
     names = drug_names(ddi.catalog)
-    ms = MSModule(ddi.graph)
+    ms = MSModule(ddi.graph, drug_names=names)
 
     unsigned = ddi.graph.to_unsigned()
     truss = truss_decomposition(unsigned)
@@ -45,7 +45,7 @@ def main() -> None:
             f"{community.trussness}-truss, "
             f"diameter {diameter(unsigned, community.nodes):.0f}"
         )
-        explanation = ms.explain(suggestion, drug_names=names)
+        explanation = ms.explain(suggestion)
         print("  " + explanation.render().replace("\n", "\n  "))
 
 

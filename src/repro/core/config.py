@@ -118,8 +118,6 @@ class ServingConfig(_SerializableConfig):
     """Serving-time knobs for :class:`repro.serving.SuggestionService`.
 
     Attributes:
-        explanation_cache_size: LRU capacity for MS-module explanations,
-            keyed on the sorted suggestion tuple (0 disables caching).
         default_k: suggestion size used when a request omits ``k``.
         rerank: route suggestions through the DDI-aware greedy re-ranker
             (:func:`repro.core.rerank_topk`) instead of plain score top-k.
@@ -127,7 +125,6 @@ class ServingConfig(_SerializableConfig):
             knobs, mirroring :class:`repro.core.RerankConfig`.
     """
 
-    explanation_cache_size: int = 1024
     default_k: int = 3
     rerank: bool = False
     synergy_bonus: float = 0.05
@@ -136,8 +133,6 @@ class ServingConfig(_SerializableConfig):
 
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range serving knobs."""
-        if self.explanation_cache_size < 0:
-            raise ValueError("explanation_cache_size must be >= 0")
         if self.default_k < 1:
             raise ValueError("default_k must be >= 1")
         if self.synergy_bonus < 0 or self.antagonism_penalty < 0:
@@ -269,10 +264,13 @@ def _drop_retired(section: str, data: Dict[str, Any]) -> Dict[str, Any]:
     the fit it describes.  ``score_chunk_rows`` (``md``) never changed
     a score and is dropped whatever its value, and so is ``score_block``
     (``serving``): every patient now scores bitwise the same in any
-    batch, which is what its fixed-shape blocks bought.
+    batch, which is what its fixed-shape blocks bought.  Neither does
+    ``explanation_cache_size`` (``serving``): the MS module owns the one
+    explanation cache, at a fixed capacity.
     """
     if section == "serving":
-        return {k: v for k, v in data.items() if k != "score_block"}
+        retired = ("score_block", "explanation_cache_size")
+        return {k: v for k, v in data.items() if k not in retired}
     if section not in ("ddi", "md"):
         return data
     data = dict(data)

@@ -92,7 +92,6 @@ class DSSDDI:
         self.md_module: Optional[MDModule] = None
         self.ms_module: Optional[MSModule] = None
         self._ddi_data: Optional[DDIDataset] = None
-        self._drug_names: Dict[int, str] = {}
         self._fitted = False
 
     # ------------------------------------------------------------------
@@ -132,7 +131,6 @@ class DSSDDI:
         cfg = self.config
         n_drugs = ddi.graph.num_nodes
         self._ddi_data = ddi
-        self._drug_names = drug_names(ddi.catalog)
         checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
 
         # Table II ablation: the mode selects which embedding is *added* to
@@ -188,7 +186,7 @@ class DSSDDI:
                 self._write_servable_snapshot if checkpoint_dir else None
             ),
         )
-        self.ms_module = MSModule(ddi.graph, cfg.ms, drug_names=self._drug_names)
+        self.ms_module = MSModule(ddi.graph, cfg.ms, drug_names=drug_names(ddi.catalog))
         self._fitted = True
         return FitReport(ddi_log=ddi_log, md_log=md_log)
 
@@ -251,9 +249,8 @@ class DSSDDI:
         system = cls(config)
         system.md_module = md_module
         system._ddi_data = ddi_data
-        system._drug_names = drug_names(ddi_data.catalog)
         system.ms_module = MSModule(
-            ddi_data.graph, config.ms, drug_names=system._drug_names
+            ddi_data.graph, config.ms, drug_names=drug_names(ddi_data.catalog)
         )
         system._fitted = True
         return system
@@ -279,7 +276,7 @@ class DSSDDI:
     def explain(self, suggested: Sequence[int]) -> Explanation:
         """MS-module explanation for one suggestion (Definition 4)."""
         self._require_fitted()
-        return self.ms_module.explain(suggested, drug_names=self._drug_names)
+        return self.ms_module.explain(suggested)
 
     def suggest_and_explain(
         self, patient_features: np.ndarray, k: int

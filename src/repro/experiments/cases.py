@@ -68,8 +68,7 @@ def run_fig8(
     if system is None:
         system = DSSDDI(dssddi_config(scale, "sgcn"))
         system.fit(data.x_train, data.y_train, cohort.ddi)
-    ms = MSModule(cohort.ddi.graph)
-    names = drug_names(cohort.catalog)
+    ms = MSModule(cohort.ddi.graph, drug_names=drug_names(cohort.catalog))
 
     explanations: Dict[str, Explanation] = {
         "DSSDDI": system.explain(system.suggest(x_patient, k)[0])
@@ -86,7 +85,7 @@ def run_fig8(
         if name != "LightGCN" or lightgcn is None:
             model.fit(data.x_train, data.y_train)
         suggestion = top_k_indices(model.predict_scores(x_patient), k)[0].tolist()
-        explanations[name] = ms.explain(suggestion, drug_names=names)
+        explanations[name] = ms.explain(suggestion)
     return Fig8Result(patient_index=patient, explanations=explanations)
 
 

@@ -7,7 +7,7 @@ bipartite medication-use graphs used by the learning modules.
 
 from .graph import BipartiteGraph, Edge, Graph, SignedGraph, edge_key
 from .triangles import all_edge_supports, count_triangles, edge_support, triangles
-from .truss import is_p_truss, peel_to_p_truss, truss_decomposition
+from .truss import is_p_truss, truss_decomposition
 from .shortest import (
     bfs_distances,
     connected_components,
@@ -30,7 +30,6 @@ __all__ = [
     "count_triangles",
     "truss_decomposition",
     "is_p_truss",
-    "peel_to_p_truss",
     "bfs_distances",
     "is_connected_subset",
     "connected_components",

@@ -9,9 +9,14 @@ proxy for diameter, following Huang et al. [22]):
 3. greedily grow T_s with adjacent edges whose truss number is at least the
    minimum truss number of T_s, up to a size budget (the "bulk" phase),
 4. truss-decompose the bulked subgraph and keep the maximal connected
-   p-truss containing Q with the largest feasible p,
+   p-truss containing Q with the largest feasible p (the edges of bulk
+   truss number >= p),
 5. iteratively delete the nodes furthest from Q while maintaining the
    p-truss property, tracking the best (smallest query-distance) candidate.
+
+Steps 4 and 5 work on per-node neighbour sets of the bulked subgraph:
+peeling edits them in place, and one BFS per query node per step gives
+both the component holding Q and every member's query distance.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from .graph import Edge, Graph, edge_key
-from .shortest import bfs_distances, graph_query_distance, is_connected_subset
 from .steiner import steiner_tree, truss_distance_weight
-from .truss import peel_to_p_truss, truss_decomposition
+from .truss import truss_decomposition
+
+Adjacency = Dict[int, Set[int]]
 
 
 @dataclass
@@ -33,7 +39,7 @@ class CTCResult:
         nodes: community members (includes every query node on success).
         trussness: the p of the p-truss condition the community satisfies.
         query_distance: max distance from any member to the query set.
-        edges: edges of the induced subgraph.
+        edges: edges of the induced subgraph, sorted.
     """
 
     nodes: List[int]
@@ -46,31 +52,54 @@ class CTCResult:
         return len(self.nodes)
 
 
-def _induced_edges(graph: Graph, nodes: Set[int]) -> List[Edge]:
-    return [
-        (u, v)
-        for u, v in graph.edges()
-        if u in nodes and v in nodes
-    ]
+def _bfs(adj: Adjacency, source: int) -> Dict[int, int]:
+    """Hop distance from ``source`` to every node it reaches."""
+    dist = {source: 0}
+    level = [source]
+    while level:
+        following = []
+        for node in level:
+            for neighbor in adj[node]:
+                if neighbor not in dist:
+                    dist[neighbor] = dist[node] + 1
+                    following.append(neighbor)
+        level = following
+    return dist
 
 
-def _component_with_query(graph: Graph, nodes: Set[int], query: Sequence[int]) -> Optional[Set[int]]:
-    """Connected component (within ``nodes``) containing all query nodes."""
-    query_set = set(query)
-    if not query_set <= nodes:
+def _query_distances(adj: Adjacency, query: Sequence[int]) -> Optional[Dict[int, int]]:
+    """Each node's largest hop distance to a query node, over the component
+    of ``adj`` holding the query; None when the query is split."""
+    per_query = [_bfs(adj, q) for q in query]
+    if any(q not in per_query[0] for q in query):
         return None
-    start = next(iter(query_set))
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for neighbor in graph.neighbors(node):
-            if neighbor in nodes and neighbor not in seen:
-                seen.add(neighbor)
-                stack.append(neighbor)
-    if query_set <= seen:
-        return seen
-    return None
+    return {n: max(dist[n] for dist in per_query) for n in per_query[0]}
+
+
+def _peel(adj: Adjacency, p: int) -> None:
+    """Delete edges in fewer than p - 2 triangles until none is left, in
+    place: what remains is the maximal p-truss of ``adj``."""
+    pending = [(u, v) for u, near in adj.items() for v in near if u < v]
+    while pending:
+        u, v = pending.pop()
+        if v not in adj[u]:
+            continue
+        common = adj[u] & adj[v]
+        if len(common) < p - 2:
+            adj[u].discard(v)
+            adj[v].discard(u)
+            for w in common:
+                pending.append((u, w))
+                pending.append((v, w))
+
+
+def _community(adj: Adjacency, dist: Dict[int, int], p: int) -> CTCResult:
+    return CTCResult(
+        nodes=sorted(dist),
+        trussness=p,
+        query_distance=float(max(dist.values())),
+        edges=sorted((u, v) for u in dist for v in adj[u] if u < v),
+    )
 
 
 def closest_truss_community(
@@ -109,10 +138,7 @@ def closest_truss_community(
         return None
 
     tree_edges = list(tree.edges())
-    if tree_edges:
-        p_floor = min(truss[edge_key(u, v)] for u, v in tree_edges)
-    else:
-        p_floor = 2
+    p_floor = min((truss[edge_key(u, v)] for u, v in tree_edges), default=2)
 
     # Lines 3-7: bulk the tree with adjacent edges of truss >= p_floor.
     nodes: Set[int] = set(query)
@@ -135,85 +161,39 @@ def closest_truss_community(
                 if len(grown) >= size_budget:
                     break
     # Include all edges among collected nodes for the truss check.
-    bulk = Graph(graph.num_nodes)
-    for u, v in _induced_edges(graph, nodes):
-        bulk.add_edge(u, v)
-
-    # Lines 8-9: decompose the bulked graph; keep the best connected p-truss
-    # containing Q.
-    bulk_truss = truss_decomposition(bulk)
-    best_p = 2
-    for p in range(max(bulk_truss.values(), default=2), 1, -1):
-        keep = {e for e, t in bulk_truss.items() if t >= p}
-        sub = Graph(graph.num_nodes)
-        for u, v in keep:
-            sub.add_edge(u, v)
-        members = _component_with_query(sub, {n for e in keep for n in e} | set(query), query)
-        if members is not None:
-            best_p = p
-            break
-
-    current = peel_to_p_truss(bulk, best_p)
-    members = _component_with_query(
-        current, {n for n in range(graph.num_nodes) if current.degree(n) > 0} | set(query), query
+    bulk = Graph.from_edges(
+        graph.num_nodes, [(u, v) for u, v in graph.edges() if u in nodes and v in nodes]
     )
-    if members is None:
-        members = set(query) | {n for e in _induced_edges(bulk, nodes) for n in e}
-        current = bulk
-        best_p = 2
-        members = _component_with_query(current, members, query)
-        if members is None:
-            return None
+
+    # Lines 8-9: decompose the bulked graph; the edges of bulk truss >= p
+    # form its maximal p-truss, so the best p is the largest one whose
+    # p-truss connects Q (p = 2 always does: it holds the Steiner tree).
+    bulk_truss = truss_decomposition(bulk)
+    adj: Adjacency = {n: set() for n in nodes}
+    for p in range(max(bulk_truss.values(), default=2), 1, -1):
+        for (u, v), t in bulk_truss.items():
+            if t == p:
+                adj[u].add(v)
+                adj[v].add(u)
+        dist = _query_distances(adj, query)
+        if dist is not None:
+            break
 
     # Lines 10-14: shrink by removing furthest nodes while keeping Q connected.
-    best = _snapshot(current, members, query, best_p)
+    best = _community(adj, dist, p)
     while True:
-        distances = _query_distances(current, members, query)
-        if not distances:
-            break
-        far = max(distances.values())
-        if far <= 0:
-            break
-        to_delete = [n for n, d in distances.items() if d == far and n not in query]
+        far = max(dist.values())
+        to_delete = {n for n, d in dist.items() if d == far}.difference(query)
         if not to_delete:
             break
-        candidate_members = members - set(to_delete)
-        candidate = Graph(graph.num_nodes)
-        for u, v in _induced_edges(current, candidate_members):
-            candidate.add_edge(u, v)
-        candidate = peel_to_p_truss(candidate, best_p)
-        surviving = _component_with_query(candidate, candidate_members, query)
-        if surviving is None or not is_connected_subset(candidate, sorted(surviving)):
+        members = dist.keys() - to_delete
+        adj = {n: adj[n] & members for n in members}
+        _peel(adj, p)
+        dist = _query_distances(adj, query)
+        if dist is None:
             break
-        members = surviving
-        current = candidate
-        snapshot = _snapshot(current, members, query, best_p)
+        snapshot = _community(adj, dist, p)
         if snapshot.query_distance <= best.query_distance:
             best = snapshot
 
     return best
-
-
-def _query_distances(graph: Graph, members: Set[int], query: Sequence[int]) -> Dict[int, float]:
-    sub, mapping = graph.subgraph(sorted(members))
-    inverse = {new: old for old, new in mapping.items()}
-    distances: Dict[int, float] = {}
-    per_query: List[List[float]] = []
-    for q in query:
-        if q not in mapping:
-            return {}
-        per_query.append(bfs_distances(sub, mapping[q]))
-    for new_id in range(sub.num_nodes):
-        distances[inverse[new_id]] = max(dist[new_id] for dist in per_query)
-    return distances
-
-
-def _snapshot(current: Graph, members: Set[int], query: Sequence[int], p: int) -> CTCResult:
-    member_list = sorted(members)
-    edges = _induced_edges(current, members)
-    return CTCResult(
-        nodes=member_list,
-        trussness=p,
-        query_distance=graph_query_distance(current, member_list, list(query)),
-        edges=edges,
-    )

@@ -1,8 +1,9 @@
 """BFS distances, connectivity, diameters and query distances.
 
 The Closest Truss Community definition (Definition 6) minimizes the
-subgraph diameter; the shrink loop of Algorithm 1 deletes the nodes
-furthest from the query set.  Both need plain BFS machinery.
+subgraph diameter, and Algorithm 1 reports the query distance of the
+community it finds.  These plain-``Graph`` versions are the reference
+definitions the tests check :mod:`repro.graph.ctc` against.
 """
 
 from __future__ import annotations

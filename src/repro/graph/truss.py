@@ -69,20 +69,3 @@ def is_p_truss(graph: Graph, p: int) -> bool:
     supports = all_edge_supports(graph)
     return all(sup >= p - 2 for sup in supports.values())
 
-
-def peel_to_p_truss(graph: Graph, p: int) -> Graph:
-    """Iteratively delete edges with support < p - 2 until a p-truss remains.
-
-    The result is the maximal p-truss subgraph of ``graph`` (possibly empty);
-    the MS module uses this while shrinking candidate communities.
-    """
-    work = graph.copy()
-    changed = True
-    while changed:
-        changed = False
-        for u, v in list(work.edges()):
-            common = work.neighbors(u) & work.neighbors(v)
-            if len(common) < p - 2:
-                work.remove_edge(u, v)
-                changed = True
-    return work

@@ -655,7 +655,7 @@ class GatewayApp:
     def explain(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         """``POST /v1/explain``: MS-module explanation of a drug set.
 
-        Body: ``{"suggested": [drug ids]}``.  Served from the service's
+        Body: ``{"suggested": [drug ids]}``.  Served from the MS module's
         LRU explanation cache when the set was explained before.
         """
         started = time.perf_counter()

@@ -8,10 +8,10 @@ makes fit-once/serve-many possible:
 * :mod:`repro.serving.scorer` — :class:`BatchScorer`, the vectorized
   replica of ``MDModule.predict_scores`` with all request-independent
   work precomputed.
-* :mod:`repro.serving.cache` — :class:`LRUCache` with hit/miss counters.
 * :mod:`repro.serving.service` — :class:`SuggestionService`, the
   request-facing API (``suggest`` / ``explain`` / ``suggest_and_explain``)
-  with batched scoring, explanation caching and optional DDI re-ranking.
+  with batched scoring and optional DDI re-ranking; explanations come
+  from the MS module's cache (:class:`repro.core.MSModule`).
 
 Quickstart::
 
@@ -32,7 +32,6 @@ from .artifact import (
     save_artifact,
     verify_artifact,
 )
-from .cache import LRUCache
 from .scorer import BatchScorer
 from .service import SuggestionService
 
@@ -42,7 +41,6 @@ __all__ = [
     "save_artifact",
     "load_system",
     "verify_artifact",
-    "LRUCache",
     "BatchScorer",
     "SuggestionService",
 ]

@@ -6,9 +6,9 @@ request-oriented API:
 * ``suggest`` — vectorized batch scoring (one matrix product per decoder
   layer per batch, never a per-patient loop) with optional DDI-aware
   greedy re-ranking,
-* ``explain`` — MS-module explanations behind an LRU cache keyed on the
-  sorted suggestion tuple (explanations depend only on the drug set, so
-  repeated suggestions across patients are free),
+* ``explain`` — MS-module explanations, read through the module's LRU
+  cache keyed on the sorted suggestion tuple (explanations depend only on
+  the drug set, so repeated suggestions across patients are free),
 * ``suggest_and_explain`` — the paper's Fig. 4 system output, batched.
 
 Usage::
@@ -26,11 +26,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import ServingConfig
-from ..core.ms_module import Explanation, canonical_suggestion
+from ..core.ms_module import Explanation
 from ..core.rerank import RerankConfig, rerank_topk
 from ..core.system import DSSDDI
 from ..metrics import top_k_indices
-from .cache import LRUCache
 from .scorer import BatchScorer
 
 
@@ -51,9 +50,10 @@ class SuggestionService:
 
     Serving knobs come from ``system.config.serving``
     (:class:`repro.core.ServingConfig`) unless an explicit ``config``
-    overrides them: LRU explanation-cache size, default suggestion size
-    ``k``, and optional DDI-safety re-ranking via
-    :func:`repro.core.rerank_topk`.
+    overrides them: default suggestion size ``k`` and optional DDI-safety
+    re-ranking via :func:`repro.core.rerank_topk`.  Explanations come
+    from the system's :class:`repro.core.MSModule`, whose one LRU cache
+    every service over the same system shares.
     """
 
     def __init__(
@@ -68,7 +68,6 @@ class SuggestionService:
         self._system = system
         self._ms = system.ms_module
         self._scorer = BatchScorer.from_md_module(system.md_module)
-        self._cache = LRUCache(self.config.explanation_cache_size)
         self._rerank_config = RerankConfig(
             synergy_bonus=self.config.synergy_bonus,
             antagonism_penalty=self.config.antagonism_penalty,
@@ -142,13 +141,13 @@ class SuggestionService:
 
     def explain(self, suggested: Sequence[int]) -> Explanation:
         """MS-module explanation for one suggested drug set, LRU-cached."""
-        return self.lookup_explanation(suggested)[0]
+        return self._ms.explain(suggested)
 
     def lookup_explanation(
         self, suggested: Sequence[int]
     ) -> Tuple[Explanation, bool]:
         """:meth:`explain`, plus whether the explanation was a cache hit."""
-        return self._explain_cached(canonical_suggestion(suggested))
+        return self._ms.lookup(suggested)
 
     def suggest_and_explain(
         self, patient_features: np.ndarray, k: Optional[int] = None
@@ -158,28 +157,16 @@ class SuggestionService:
         Patients whose suggestion sets coincide share a single cached
         explanation object.
         """
-        suggestions = self.suggest(patient_features, k)
-        return [
-            self._explain_cached(canonical_suggestion(row))[0]
-            for row in suggestions
-        ]
-
-    def _explain_cached(self, key: Tuple[int, ...]) -> Tuple[Explanation, bool]:
-        explanation = self._cache.get(key)
-        if explanation is not None:
-            return explanation, True
-        explanation = self._ms.explain(key)
-        self._cache.put(key, explanation)
-        return explanation, False
+        return [self._ms.explain(row) for row in self.suggest(patient_features, k)]
 
     # ------------------------------------------------------------------
     def clear_cache(self) -> None:
         """Drop cached explanations and reset the cache counters."""
-        self._cache.clear()
+        self._ms.clear_cache()
 
     def __repr__(self) -> str:
         return (
             f"SuggestionService(drugs={self.num_drugs}, "
-            f"cache={len(self._cache)}/{self._cache.maxsize}, "
+            f"cache={len(self._ms.cache)}/{self._ms.cache.maxsize}, "
             f"rerank={self.config.rerank})"
         )

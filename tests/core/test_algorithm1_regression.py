@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import MSModule
+from repro.core import MSModule, canonical_suggestion
 from repro.data import generate_chronic_cohort, generate_ddi
 from repro.graph import SignedGraph
 from repro.metrics import top_k_indices
@@ -120,6 +120,28 @@ def test_replay_equals_recording(replayed, recorded):
         assert now["community"] == then["community"], now["suggested"]
         # Dict equality compares the floats with ==.
         assert now["satisfaction"] == then["satisfaction"], now["suggested"]
+
+
+def test_satisfaction_at_k_runs_algorithm1_once_per_distinct_set():
+    """SS@k over the fixture's score rows, each row twice: the module's
+    cache runs Algorithm 1 once per distinct suggested set, and the value
+    is the mean of per-row explanations computed afresh."""
+    chronic = _graphs()["chronic"]
+    scores = np.random.default_rng(SCORE_SEED).random((ROWS, chronic.num_nodes))
+    scores = np.vstack([scores, scores[::-1]])
+    module, fresh = MSModule(chronic), MSModule(chronic)
+    for k in KS:
+        top = top_k_indices(scores, k)
+        distinct = {canonical_suggestion(row) for row in top}
+        module.clear_cache()
+        value = module.satisfaction_at_k(scores, k)
+        assert module.cache.misses == len(distinct) < len(top)
+        assert module.cache.hits == len(top) - len(distinct)
+        per_row = []
+        for row in top:
+            fresh.clear_cache()
+            per_row.append(fresh.explain(row).satisfaction.value)
+        assert value == float(np.mean(per_row))
 
 
 if __name__ == "__main__":

@@ -331,9 +331,9 @@ class TestMSModule:
         ]
 
     def test_render_mentions_names(self, small_ddi):
-        module = MSModule(small_ddi.graph)
         u, v = small_ddi.synergy[0]
-        explanation = module.explain([u, v], drug_names={u: "DrugU", v: "DrugV"})
+        module = MSModule(small_ddi.graph, drug_names={u: "DrugU", v: "DrugV"})
+        explanation = module.explain([u, v])
         text = explanation.render()
         assert "DrugU" in text and "DrugV" in text
         assert "Suggestion Satisfaction" in text

@@ -4,12 +4,15 @@ networkx is used as an independent oracle for triangle counts and
 connectivity where possible.
 """
 
+from functools import lru_cache
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import generate_chronic_cohort, generate_ddi
 from repro.graph import (
     Graph,
     all_edge_supports,
@@ -23,7 +26,6 @@ from repro.graph import (
     graph_query_distance,
     is_connected_subset,
     is_p_truss,
-    peel_to_p_truss,
     steiner_tree,
     truss_decomposition,
     truss_distance_weight,
@@ -113,13 +115,6 @@ class TestTrussDecomposition:
     def test_is_p_truss_definition(self):
         assert is_p_truss(complete_graph(4), 4)
         assert not is_p_truss(Graph.from_edges(3, [(0, 1), (1, 2)]), 3)
-
-    def test_peel_to_p_truss_keeps_valid_part(self):
-        g = complete_graph(4)
-        g = Graph.from_edges(6, list(g.edges()) + [(3, 4), (4, 5)])
-        peeled = peel_to_p_truss(g, 4)
-        assert peeled.num_edges == 6
-        assert is_p_truss(peeled, 4)
 
     @settings(max_examples=20, deadline=None)
     @given(random_graphs)
@@ -335,3 +330,45 @@ class TestClosestTrussCommunity:
         # every reported edge must exist in the original graph
         for u, v in result.edges:
             assert g.has_edge(u, v)
+
+
+@lru_cache(maxsize=None)
+def ddi_graph(name: str):
+    """An unsigned DDI graph and its truss numbers, built once per name."""
+    if name == "chronic":
+        signed = generate_chronic_cohort().ddi.graph
+    else:
+        signed = generate_ddi(seed=7).graph
+    g = signed.to_unsigned()
+    return g, truss_decomposition(g)
+
+
+class TestAlgorithm1Property:
+    """Random 1-6-drug queries on real DDI graphs at several size budgets
+    (the regression fixture pins budget 60 only): every community is a
+    connected p-truss around the query with its reported query distance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["chronic", "ddi7"]),
+        st.sampled_from([1, 5, 60]),
+        st.data(),
+    )
+    def test_community_is_connected_p_truss_around_query(self, name, budget, data):
+        g, truss = ddi_graph(name)
+        query = data.draw(
+            st.lists(
+                st.integers(0, g.num_nodes - 1), min_size=1, max_size=6, unique=True
+            )
+        )
+        result = closest_truss_community(g, truss, query, budget)
+        if result is None:
+            return
+        assert set(query) <= set(result.nodes)
+        assert result.nodes == sorted(result.nodes)
+        own = Graph.from_edges(g.num_nodes, result.edges)
+        assert is_p_truss(own, result.trussness)
+        assert result.nodes in connected_components(own)
+        assert result.query_distance == graph_query_distance(
+            own, result.nodes, query
+        )

@@ -7,9 +7,12 @@ added the serving ``score_block``, v4 added per-array SHA-256 integrity
 digests (verified on load; absent in older artifacts, which therefore
 load unverified).  The v2 and v3 fields are retired: the density rule
 picks every matrix representation, scoring always uses one block size,
-and every patient scores bitwise the same in any batch.  The loader
-therefore drops ``propagation_backend="auto"``, any ``score_chunk_rows``
-and any ``score_block``, and refuses a forced representation.  Three
+and every patient scores bitwise the same in any batch.  So is the
+serving ``explanation_cache_size`` every version carried: the MS module
+owns the one explanation cache, at a fixed capacity.  The loader
+therefore drops ``propagation_backend="auto"``, any ``score_chunk_rows``,
+any ``score_block`` and any ``explanation_cache_size``, and refuses a
+forced representation.  Three
 guarantees are pinned here:
 
 * saving with the **current** schema and loading it back round-trips
@@ -45,26 +48,27 @@ def fitted():
     return system, x[split.test]
 
 
-#: The retired v2 and v3 fields as a v4 manifest written before their
-#: removal carries them (their defaults).  Every field they added is
-#: retired, so the current config has no field the v1 layout lacks.
+#: The retired fields as a v4 manifest written before their removal
+#: carries them (their defaults).  The v1 layout lacks only the v2 and v3
+#: fields, so the current config has no field the v1 layout lacks.
 RETIRED_FIELDS = {
     "ddi": {"propagation_backend": "auto"},
     "md": {"propagation_backend": "auto", "score_chunk_rows": 262144},
-    "serving": {"score_block": 0},
+    "serving": {"score_block": 0, "explanation_cache_size": 1024},
 }
 
 
-def add_retired_fields(path, score_block=0, **overrides):
-    """Write the retired fields (``section=value`` overrides the
-    section's ``propagation_backend``) into the saved manifest at ``path``."""
+def add_retired_fields(path, serving=None, **overrides):
+    """Write the retired fields into the saved manifest at ``path``:
+    ``serving`` overrides retired serving fields, ``section=value`` the
+    section's ``propagation_backend``."""
     manifest_path = path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     for section, fields in RETIRED_FIELDS.items():
         manifest["config"][section].update(fields)
         if section in overrides:
             manifest["config"][section]["propagation_backend"] = overrides[section]
-    manifest["config"]["serving"]["score_block"] = score_block
+    manifest["config"]["serving"].update(serving or {})
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return path
 
@@ -144,21 +148,33 @@ class TestRetiredFields:
         manifest = json.loads((tmp_path / "resaved" / "manifest.json").read_text())
         assert "propagation_backend" not in manifest["config"]["md"]
         assert "score_chunk_rows" not in manifest["config"]["md"]
-        assert "score_block" not in manifest["config"]["serving"]
+        assert not set(RETIRED_FIELDS["serving"]) & set(manifest["config"]["serving"])
         assert np.array_equal(
             load_system(tmp_path / "resaved").predict_scores(x_test),
             system.predict_scores(x_test),
         )
 
-    @pytest.mark.parametrize("score_block", [0, 8])
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            {"score_block": 0},
+            {"score_block": 8},
+            {"explanation_cache_size": 0},
+            {"explanation_cache_size": 1024},
+        ],
+        ids=["0", "8", "explanation_cache_size=0", "explanation_cache_size=1024"],
+    )
     def test_v4_manifest_with_score_block_resaves_bitwise(
-        self, fitted, tmp_path, score_block
+        self, fitted, tmp_path, retired
     ):
+        """An artifact carrying any value of a retired serving field
+        loads without it and serves the saved scores bitwise."""
         system, x_test = fitted
         system.save(tmp_path / "old")
         saved = (tmp_path / "old" / "manifest.json").read_bytes()
-        add_retired_fields(tmp_path / "old", score_block=score_block)
+        add_retired_fields(tmp_path / "old", serving=retired)
         loaded = load_system(tmp_path / "old")
+        assert not set(RETIRED_FIELDS["serving"]) & set(loaded.config.serving.to_dict())
         assert np.array_equal(
             loaded.predict_scores(x_test), system.predict_scores(x_test)
         )

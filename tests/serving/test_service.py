@@ -1,5 +1,6 @@
-"""The batched SuggestionService: parity with the core system, caching,
-re-ranking, and the LRU cache itself."""
+"""The batched SuggestionService: parity with the core system, the MS
+module's explanation cache read through it, re-ranking, and the LRU cache
+itself."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from repro.core import DSSDDI, DSSDDIConfig, ServingConfig, canonical_suggestion
 from repro.core.rerank import antagonism_count
 from repro.data import generate_chronic_cohort, split_patients, standardize_features
-from repro.serving import LRUCache, SuggestionService
+from repro.core.ms_module import LRUCache
+from repro.serving import SuggestionService
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +27,12 @@ def fitted():
 
 @pytest.fixture()
 def service(fitted):
+    """A service over the module-scoped system, whose MS module (and so
+    the explanation cache) every test here shares: start it empty."""
     system, _x, _cohort = fitted
-    return SuggestionService(system)
+    service = SuggestionService(system)
+    service.clear_cache()
+    return service
 
 
 class TestScoringParity:
@@ -60,9 +66,8 @@ class TestScoringParity:
 
 
 class TestExplanationCache:
-    def test_repeated_suggestions_hit_cache(self, fitted):
+    def test_repeated_suggestions_hit_cache(self, fitted, service):
         system, x_test, _ = fitted
-        service = SuggestionService(system)
         batch = np.tile(x_test[:2], (3, 1))  # 6 patients, <= 2 distinct
         distinct = {tuple(sorted(row)) for row in system.suggest(x_test[:2], k=3)}
         suggestions = service.suggest(batch, k=3)
@@ -87,13 +92,11 @@ class TestExplanationCache:
             [46, 47]
         ).render()
 
-    def test_cache_disabled(self, fitted):
+    def test_system_explain_fills_the_service_cache(self, fitted, service):
         system, _x, _ = fitted
-        service = SuggestionService(
-            system, config=ServingConfig(explanation_cache_size=0)
-        )
-        hits = [service.lookup_explanation([46, 47])[1] for _ in range(2)]
-        assert hits == [False, False]
+        explanation = system.explain([46, 47])
+        cached, hit = service.lookup_explanation([47, 46])
+        assert hit and cached is explanation
 
     def test_clear_cache(self, fitted, service):
         assert service.lookup_explanation([46, 47])[1] is False

@@ -1,13 +1,16 @@
 """Thread-safety of the serving hot path.
 
 The gateway hammers one ``SuggestionService`` from many worker threads;
-the LRU cache must not lose updates or corrupt its internal state under
-that load.
+the MS module's explanation cache (an ``LRUCache``) must not lose updates
+or corrupt its internal state under that load.
 """
 
+import sys
 import threading
 
-from repro.serving import LRUCache
+from repro.core import MSModule, canonical_suggestion
+from repro.core.ms_module import LRUCache
+from repro.data import generate_ddi
 
 
 class TestLRUCacheConcurrency:
@@ -62,3 +65,45 @@ class TestLRUCacheConcurrency:
         for t in threads:
             t.join()
         assert len(cache) <= 16
+
+
+class TestExplanationCacheConcurrency:
+    def test_concurrent_lookups_share_one_cache(self):
+        """Gateway threads share one MSModule: every lookup is counted
+        once, each suggested set is stored once, and all threads see the
+        same explanation for it."""
+        module = MSModule(generate_ddi(seed=7).graph)
+        sets = [[i, i + 1, i + 5] for i in range(12)]
+        seen = {}
+        errors = []
+
+        def worker(tid):
+            try:
+                for i in range(120):
+                    suggested = sets[(tid + i) % len(sets)]
+                    explanation, _hit = module.lookup(suggested[::-1])
+                    seen.setdefault(tid, []).append((tuple(suggested), explanation))
+            except Exception as exc:  # pragma: no cover - the assertion
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert module.cache.hits + module.cache.misses == 8 * 120
+        assert len(module.cache) == len(sets)
+        for suggested in sets:
+            expected = module.explain(suggested)
+            assert expected.suggested == list(canonical_suggestion(suggested))
+            for results in seen.values():
+                for key, explanation in results:
+                    if key == tuple(suggested):
+                        assert explanation == expected
